@@ -25,7 +25,11 @@
 #       fast-forwarding on and off (fails on any output divergence)
 #   the engine determinism suite twice: once normally and once with
 #       --features paranoid, which single-steps every would-be skip and
-#       asserts the machine state fingerprint never moves
+#       asserts the machine state fingerprint never moves, and ticks
+#       every sleeping core anyway, asserting it holds still
+#   the crash suite (tests/integration_crash.rs) again under
+#       proteus-sim's paranoid feature: crash exploration stops mid-run
+#       at persist events, where sleeping cores must be settled
 #   one traced pass of the benchmark's busy-hw and crash workloads
 #       (`python3 perfbench/run.py --workload W --seed 0 --seconds 3
 #       --trace 1`), which fails unless the pinned digests match and

@@ -4,27 +4,56 @@
 //! probe [scale] [qe|hm|ss|bt|rt|at]
 //! ```
 //!
+//! `scale` (default 0.1) must be a finite factor greater than zero and
+//! the benchmark (default `at`) one of the six names; anything else
+//! exits non-zero with the usage line.
+//!
 //! Sweeps the headline schemes over one benchmark and prints the
 //! aggregate cycle/stall/write breakdown per scheme, then re-runs the
 //! Proteus configuration with cycle-level tracing for the deep dive:
 //! the per-transaction persist critical path and the queue-occupancy
 //! distributions behind the aggregates.
 
+use proteus_bench::cli;
 use proteus_sim::runner::{run_workload_traced, sweep_schemes, ExperimentSpec};
 use proteus_types::config::{LoggingSchemeKind, SystemConfig, TraceConfig};
 use proteus_types::stats::StallCause;
 use proteus_workloads::{generate, Benchmark, WorkloadParams};
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.1);
-    let bench = match std::env::args().nth(2).as_deref() {
+const USAGE: &str = "usage: probe [scale] [qe|hm|ss|bt|rt|at]";
+
+/// Parses `[scale] [benchmark]` (defaults 0.1 and `at`); `Err` carries
+/// the message printed above the usage line.
+fn parse(args: &[String]) -> Result<(f64, Benchmark), String> {
+    if args.len() > 2 {
+        return Err(format!("unexpected argument: {}", args[2]));
+    }
+    let scale = match args.first() {
+        Some(v) => cli::scale("scale", v)?,
+        None => 0.1,
+    };
+    let bench = match args.get(1).map(String::as_str) {
         Some("qe") => Benchmark::Queue,
         Some("hm") => Benchmark::HashMap,
         Some("ss") => Benchmark::StringSwap,
         Some("bt") => Benchmark::BTree,
         Some("rt") => Benchmark::RbTree,
-        _ => Benchmark::AvlTree,
+        Some("at") | None => Benchmark::AvlTree,
+        Some(other) => return Err(format!("unknown benchmark: {other}")),
+    };
+    Ok((scale, bench))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, bench) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
     let params = WorkloadParams::table2(bench, 4, scale);
     let divisor = ((1.0 / scale) as u64).max(1).next_power_of_two().min(64);
@@ -95,4 +124,30 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<(f64, Benchmark), String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn bad_scales_and_names_are_rejected() {
+        for scale in ["0", "-1", "nan", "inf", "abc"] {
+            let err = parse_args(&[scale]).unwrap_err();
+            assert_eq!(err, format!("invalid value for scale: {scale}"));
+        }
+        assert_eq!(parse_args(&["0.1", "xx"]).unwrap_err(), "unknown benchmark: xx");
+        assert!(parse_args(&["0.1", "qe", "extra"]).is_err());
+    }
+
+    #[test]
+    fn defaults_and_names_parse() {
+        assert_eq!(parse_args(&[]), Ok((0.1, Benchmark::AvlTree)));
+        assert_eq!(parse_args(&["0.02", "qe"]), Ok((0.02, Benchmark::Queue)));
+        assert_eq!(parse_args(&["0.5", "at"]), Ok((0.5, Benchmark::AvlTree)));
+    }
 }

@@ -14,9 +14,10 @@
 //! `--list` prints a one-line summary of each registry — the workload
 //! roster and the scheme table, with each row's roles — and exits.
 //!
-//! `--scale` scales the Table 2 op counts (default 0.1); `--threads`
-//! sets the core/thread count (default 4). Shapes are stable across
-//! scales; absolute speedups move slightly.
+//! `--scale` scales the Table 2 op counts (default 0.1; any finite
+//! factor greater than zero); `--threads` sets the core/thread count
+//! (default 4). Shapes are stable across scales; absolute speedups move
+//! slightly.
 //!
 //! The harness flags:
 //!
@@ -58,6 +59,7 @@
 //! scheme over it; `replay --file PATH` verifies and replays a trace,
 //! cross-checking byte-identity against regeneration.
 
+use proteus_bench::cli::{number, scale};
 use proteus_bench::experiments::{
     ablation_llt, ablation_threads, ablation_wpq, bench, contention, crashrepro, crashsweep, fig10,
     fig11, fig12, fig6, fig7, fig8, fig9, gen, replay, table1, table2, table3, table4, trace,
@@ -113,12 +115,6 @@ enum Command {
     Run(Vec<(&'static str, Experiment)>, ExperimentCtx),
 }
 
-/// Parses a numeric flag value. A malformed value is an error, never a
-/// silent fallback to the default.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
 /// Parses the arguments after the binary name; `Err` carries the
 /// message printed above the usage line.
 fn parse(args: &[String]) -> Result<Command, String> {
@@ -139,7 +135,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
     while let Some(flag) = rest.next() {
         let mut value = || rest.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
-            "--scale" => ctx.scale.scale = number(flag, value()?)?,
+            "--scale" => ctx.scale.scale = scale(flag, value()?)?,
             "--threads" => ctx.scale.threads = number(flag, value()?)?,
             "--jobs" => ctx.opts.workers = number(flag, value()?)?,
             "--resume" => ctx.opts.ledger = Some(PathBuf::from(value()?)),
@@ -248,6 +244,18 @@ mod tests {
         assert!(parse_args(&["table2", "--threads", "-1"]).is_err());
         assert_eq!(parse_args(&["table2", "--scale"]).unwrap_err(), "missing value for --scale");
         assert!(parse_args(&["table2", "--bogus", "1"]).is_err());
+    }
+
+    #[test]
+    fn degenerate_scales_are_rejected() {
+        for scale in ["0", "-1", "nan", "inf", "-inf", "1e400"] {
+            let err = parse_args(&["table2", "--scale", scale]).unwrap_err();
+            assert_eq!(err, format!("invalid value for --scale: {scale}"));
+        }
+        let Ok(Command::Run(_, ctx)) = parse_args(&["table2", "--scale", "1e-3"]) else {
+            panic!("a small positive scale must parse");
+        };
+        assert_eq!(ctx.scale.scale, 1e-3);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //!     --out crates/bench/tests/golden/fig6_seed_schemes.jsonl
 //! ```
 
+use proteus_bench::cli::{number, scale};
 use proteus_bench::experiments::ExperimentScale;
 use proteus_bench::golden::fig6_cell_spec;
 use proteus_harness::Json;
@@ -45,12 +46,6 @@ struct Options {
     out: String,
 }
 
-/// Parses a numeric flag value. A malformed value is an error, never a
-/// silent fallback to the default.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("invalid value for {flag}: {value}"))
-}
-
 /// Parses the arguments after the binary name; `Err` carries the
 /// message printed above the usage line.
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -63,9 +58,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
     while let Some(flag) = rest.next() {
         let mut value = || rest.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
-            "--scale" => o.full.scale = number(flag, value()?)?,
+            "--scale" => o.full.scale = scale(flag, value()?)?,
             "--threads" => o.full.threads = number(flag, value()?)?,
-            "--tiny-scale" => o.tiny.scale = number(flag, value()?)?,
+            "--tiny-scale" => o.tiny.scale = scale(flag, value()?)?,
             "--tiny-threads" => o.tiny.threads = number(flag, value()?)?,
             "--out" => o.out = value()?.clone(),
             other => return Err(format!("unknown argument: {other}")),
@@ -154,6 +149,12 @@ mod tests {
         for flag in ["--scale", "--threads", "--tiny-scale", "--tiny-threads"] {
             let err = parse_args(&[flag, "abc"]).unwrap_err();
             assert_eq!(err, format!("invalid value for {flag}: abc"));
+        }
+        for flag in ["--scale", "--tiny-scale"] {
+            for value in ["0", "-1", "nan", "inf"] {
+                let err = parse_args(&[flag, value]).unwrap_err();
+                assert_eq!(err, format!("invalid value for {flag}: {value}"));
+            }
         }
         assert_eq!(parse_args(&["--out"]).unwrap_err(), "missing value for --out");
         assert_eq!(parse_args(&["--bogus", "1"]).unwrap_err(), "unknown argument: --bogus");

@@ -17,6 +17,7 @@
 //! and every core track and every MC queue track must carry at least
 //! one event. Any failure exits non-zero.
 
+use proteus_bench::cli::{number, scale};
 use proteus_harness::json::{self, Json};
 use proteus_sim::runner::{run_workload_traced, ExperimentSpec};
 use proteus_trace::export::{PID_CORES, PID_MC};
@@ -26,19 +27,61 @@ use proteus_workloads::{generate, Benchmark, WorkloadParams};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tracedump <qe|hm|ss|at|bt|rt> [--scale S] [--threads N] [--scheme NAME] \
-         [--ring N] [--interval N] [--out PATH] [--jsonl PATH]"
-    );
-    ExitCode::FAILURE
+const USAGE: &str = "usage: tracedump <qe|hm|ss|at|bt|rt> [--scale S] [--threads N] \
+                     [--scheme NAME] [--ring N] [--interval N] [--out PATH] [--jsonl PATH]";
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    bench: Benchmark,
+    scale: f64,
+    threads: usize,
+    scheme: LoggingSchemeKind,
+    trace_cfg: TraceConfig,
+    out_path: PathBuf,
+    jsonl_path: Option<PathBuf>,
 }
 
-/// Rejects a malformed numeric value (`flag_and_value` starts at the
-/// flag) instead of silently running the default.
-fn invalid(flag_and_value: &[String]) -> ExitCode {
-    eprintln!("invalid value for {}: {}", flag_and_value[0], flag_and_value[1]);
-    usage()
+/// Parses the arguments after the binary name; `Err` carries the
+/// message printed above the usage line.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let bench = match args.first().map(String::as_str) {
+        Some("qe") => Benchmark::Queue,
+        Some("hm") => Benchmark::HashMap,
+        Some("ss") => Benchmark::StringSwap,
+        Some("at") => Benchmark::AvlTree,
+        Some("bt") => Benchmark::BTree,
+        Some("rt") => Benchmark::RbTree,
+        Some(other) => return Err(format!("unknown benchmark: {other}")),
+        None => return Err("no benchmark given".to_string()),
+    };
+    let mut parsed = Args {
+        bench,
+        scale: 0.1,
+        threads: 4,
+        scheme: LoggingSchemeKind::Proteus,
+        trace_cfg: TraceConfig::enabled(),
+        out_path: PathBuf::from("proteus-trace.json"),
+        jsonl_path: None,
+    };
+    let mut rest = args[1..].iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || rest.next().ok_or_else(|| format!("missing value for {flag}"));
+        match flag.as_str() {
+            "--scale" => parsed.scale = scale(flag, value()?)?,
+            "--threads" => parsed.threads = number(flag, value()?)?,
+            "--scheme" => {
+                let v = value()?;
+                parsed.scheme = scheme_by_name(v).ok_or_else(|| format!("unknown scheme: {v}"))?;
+            }
+            "--ring" => parsed.trace_cfg.ring_capacity = number(flag, value()?)?,
+            "--interval" => parsed.trace_cfg.sample_interval = number(flag, value()?)?,
+            "--out" => parsed.out_path = PathBuf::from(value()?),
+            "--jsonl" => parsed.jsonl_path = Some(PathBuf::from(value()?)),
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    Ok(parsed)
 }
 
 fn scheme_by_name(name: &str) -> Option<LoggingSchemeKind> {
@@ -72,69 +115,15 @@ fn events_per_track(trace: &Json) -> Vec<(u64, u64, usize)> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(bench) = args.first().and_then(|a| match a.as_str() {
-        "qe" => Some(Benchmark::Queue),
-        "hm" => Some(Benchmark::HashMap),
-        "ss" => Some(Benchmark::StringSwap),
-        "at" => Some(Benchmark::AvlTree),
-        "bt" => Some(Benchmark::BTree),
-        "rt" => Some(Benchmark::RbTree),
-        _ => None,
-    }) else {
-        return usage();
-    };
-
-    let mut scale = 0.1f64;
-    let mut threads = 4usize;
-    let mut scheme = LoggingSchemeKind::Proteus;
-    let mut trace_cfg = TraceConfig::enabled();
-    let mut out_path = PathBuf::from("proteus-trace.json");
-    let mut jsonl_path: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                let Ok(v) = args[i + 1].parse() else { return invalid(&args[i..]) };
-                scale = v;
-                i += 2;
-            }
-            "--threads" if i + 1 < args.len() => {
-                let Ok(v) = args[i + 1].parse() else { return invalid(&args[i..]) };
-                threads = v;
-                i += 2;
-            }
-            "--scheme" if i + 1 < args.len() => {
-                let Some(s) = scheme_by_name(&args[i + 1]) else {
-                    eprintln!("unknown scheme: {}", args[i + 1]);
-                    return usage();
-                };
-                scheme = s;
-                i += 2;
-            }
-            "--ring" if i + 1 < args.len() => {
-                let Ok(v) = args[i + 1].parse() else { return invalid(&args[i..]) };
-                trace_cfg.ring_capacity = v;
-                i += 2;
-            }
-            "--interval" if i + 1 < args.len() => {
-                let Ok(v) = args[i + 1].parse() else { return invalid(&args[i..]) };
-                trace_cfg.sample_interval = v;
-                i += 2;
-            }
-            "--out" if i + 1 < args.len() => {
-                out_path = PathBuf::from(&args[i + 1]);
-                i += 2;
-            }
-            "--jsonl" if i + 1 < args.len() => {
-                jsonl_path = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return usage();
-            }
+    let Args { bench, scale, threads, scheme, trace_cfg, out_path, jsonl_path } = match parse(&args)
+    {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
     let params = WorkloadParams::table2(bench, threads, scale).with_derived_seed(bench);
     let divisor = if scale >= 1.0 { 1 } else { ((1.0 / scale) as u64).next_power_of_two().min(64) };
@@ -221,4 +210,40 @@ fn main() -> ExitCode {
         println!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Args, String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn degenerate_and_malformed_values_are_rejected() {
+        for scale in ["0", "-1", "nan", "inf", "abc"] {
+            let err = parse_args(&["qe", "--scale", scale]).unwrap_err();
+            assert_eq!(err, format!("invalid value for --scale: {scale}"));
+        }
+        for flag in ["--threads", "--ring", "--interval"] {
+            let err = parse_args(&["qe", flag, "x"]).unwrap_err();
+            assert_eq!(err, format!("invalid value for {flag}: x"));
+        }
+        assert_eq!(parse_args(&["qe", "--scale"]).unwrap_err(), "missing value for --scale");
+        assert_eq!(parse_args(&["xx"]).unwrap_err(), "unknown benchmark: xx");
+        assert_eq!(parse_args(&["qe", "--scheme", "nope"]).unwrap_err(), "unknown scheme: nope");
+        assert!(parse_args(&[]).is_err());
+    }
+
+    #[test]
+    fn well_formed_flags_are_taken() {
+        let args = parse_args(&["ss", "--scale", "0.02", "--threads", "2", "--scheme", "atom"])
+            .expect("a well-formed command line must parse");
+        assert_eq!(args.bench, Benchmark::StringSwap);
+        assert_eq!(args.scale, 0.02);
+        assert_eq!(args.threads, 2);
+        assert_eq!(args.scheme, LoggingSchemeKind::Atom);
+        assert_eq!(args.out_path, PathBuf::from("proteus-trace.json"));
+    }
 }

@@ -6,6 +6,7 @@
 //! corresponding experiment and returns a formatted report; the
 //! `reproduce` binary prints them.
 
+pub mod cli;
 pub mod experiments;
 pub mod golden;
 

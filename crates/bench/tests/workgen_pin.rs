@@ -6,8 +6,8 @@
 //! * Preset trace *content* hashes are pinned where the op stream is
 //!   environment-independent (uniform skew); zipfian presets go
 //!   through `f64::powf`, so their content pins are gated on
-//!   [`skew_fingerprint`] the same way `golden_pin` gates numeric
-//!   goldens on the rand stream.
+//!   [`skew_fingerprint`] (`golden_pin`, by contrast, replays its
+//!   numeric goldens unconditionally on the in-tree RNG stream).
 //! * Every preset runs end-to-end on every registered scheme, and
 //!   record -> serialise -> parse -> replay yields a byte-identical
 //!   `RunSummary` with fast-forwarding on and off.

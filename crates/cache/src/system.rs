@@ -14,7 +14,7 @@
 //! stores read-for-ownership and invalidate every remote copy. Accesses
 //! outside the domain take the historical path bit for bit.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, EvictedLine};
 use proteus_coherence::{dirty_owner, CoherenceCtrl, CoherenceEvent};
 use proteus_core::pmem::LineData;
 use proteus_trace::{CacheLevel, Tracer};
@@ -82,6 +82,8 @@ pub struct CacheSystem {
     l3: Cache,
     cfg: CacheConfig,
     coherence: CoherenceCtrl,
+    /// See [`CacheSystem::epoch`].
+    epoch: u64,
 }
 
 impl CacheSystem {
@@ -93,7 +95,28 @@ impl CacheSystem {
             l3: Cache::new(&cfg.caches.l3),
             coherence: CoherenceCtrl::new(cfg.caches.l3.latency),
             cfg: cfg.caches.clone(),
+            epoch: 0,
         }
+    }
+
+    /// A counter that moves whenever one core may have changed what
+    /// another core's [`CacheSystem::peek`] returns: every change to a
+    /// shared-L3 line (insert, eviction, data update, clean) and every
+    /// change to a coherence-domain line (store, invalidation, ownership
+    /// transfer, flush, promotion into a private cache). A core's private
+    /// copies of other lines are invisible to every other core, and LRU
+    /// refreshes and statistics change no `peek`, so neither moves it.
+    /// The simulator's per-core sleep (DESIGN.md §6) wakes a sleeping
+    /// core when this counter has moved since it fell asleep.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Inserts into the shared L3: every L3 insert can change what a
+    /// `peek` of the inserted or the evicted line returns.
+    fn l3_insert(&mut self, line: LineAddr, data: LineData, dirty: bool) -> Option<EvictedLine> {
+        self.epoch += 1;
+        self.l3.insert(line, data, dirty)
     }
 
     /// Number of cores served.
@@ -115,6 +138,12 @@ impl CacheSystem {
         if let Some(data) = self.l1[c].lookup(line) {
             return LookupResult::Hit { latency: self.cfg.l1d.latency, data };
         }
+        let shared = in_coherence_domain(addr);
+        if shared {
+            // Every hit below puts a copy of the line in this core's
+            // private stack, and a transfer cleans the owner's.
+            self.epoch += 1;
+        }
         if let Some(data) = self.l2[c].lookup(line) {
             let dirty = self.l2[c].is_dirty(line);
             self.promote_to_l1(c, line, data, dirty, writebacks);
@@ -122,7 +151,7 @@ impl CacheSystem {
         }
         // Shared lines: a remote private dirty copy is fresher than the
         // L3, so the snoop scan must run before the L3 probe.
-        if in_coherence_domain(addr) {
+        if shared {
             if let Some(owner) = self.remote_dirty_owner(c, line) {
                 let data = self.transfer_ownership(owner, c, line, writebacks);
                 return LookupResult::Hit { latency: self.coherence.transfer_latency(), data };
@@ -133,7 +162,7 @@ impl CacheSystem {
             self.promote_to_l1(c, line, data, dirty, writebacks);
             return LookupResult::Hit { latency: self.cfg.l3.latency, data };
         }
-        if in_coherence_domain(addr) {
+        if shared {
             self.coherence.note_domain_miss();
         }
         LookupResult::Miss
@@ -211,6 +240,7 @@ impl CacheSystem {
                 // every remote copy disappears before the write, leaving
                 // the writer's L1 copy the single (modified) one.
                 if in_coherence_domain(addr) {
+                    self.epoch += 1;
                     self.invalidate_remote(core.index(), addr.line());
                 }
                 let ok = self.l1[core.index()].write_word(addr, value);
@@ -246,7 +276,7 @@ impl CacheSystem {
         {
             return;
         }
-        if let Some(ev) = self.l3.insert(line, data, false) {
+        if let Some(ev) = self.l3_insert(line, data, false) {
             if ev.dirty {
                 writebacks.push((ev.line, ev.data));
             }
@@ -284,7 +314,7 @@ impl CacheSystem {
     }
 
     fn spill_to_l3(&mut self, line: LineAddr, data: LineData, writebacks: &mut Vec<Writeback>) {
-        if let Some(ev) = self.l3.insert(line, data, true) {
+        if let Some(ev) = self.l3_insert(line, data, true) {
             if ev.dirty {
                 writebacks.push((ev.line, ev.data));
             }
@@ -297,20 +327,35 @@ impl CacheSystem {
     pub fn clwb(&mut self, core: CoreId, addr: Addr) -> Option<LineData> {
         let line = addr.line();
         let c = core.index();
+        if in_coherence_domain(addr) {
+            // Other cores snoop dirty private copies of shared lines;
+            // cleaning one changes what they see.
+            self.epoch += 1;
+        }
         if let Some(data) = self.l1[c].clean(line) {
             // The flush passes through the hierarchy: lower-level shadow
             // copies receive the fresh data (and become clean), so a
             // later clean eviction of the L1 copy cannot expose stale
             // contents.
             self.l2[c].update_if_present(line, data);
-            self.l3.update_if_present(line, data);
+            self.l3_update(line, data);
             return Some(data);
         }
         if let Some(data) = self.l2[c].clean(line) {
-            self.l3.update_if_present(line, data);
+            self.l3_update(line, data);
             return Some(data);
         }
-        self.l3.clean(line)
+        let data = self.l3.clean(line)?;
+        self.epoch += 1;
+        Some(data)
+    }
+
+    /// Writes fresh data through to a resident L3 copy (see
+    /// [`CacheSystem::epoch`]).
+    fn l3_update(&mut self, line: LineAddr, data: LineData) {
+        if self.l3.update_if_present(line, data) {
+            self.epoch += 1;
+        }
     }
 
     /// Non-mutating presence check: returns the freshest cached copy of
@@ -343,7 +388,7 @@ impl CacheSystem {
 
     /// Pre-loads a line as clean into the shared L3 (warm-up).
     pub fn preload_l3(&mut self, line: LineAddr, data: LineData, writebacks: &mut Vec<Writeback>) {
-        if let Some(ev) = self.l3.insert(line, data, false) {
+        if let Some(ev) = self.l3_insert(line, data, false) {
             if ev.dirty {
                 writebacks.push((ev.line, ev.data));
             }
@@ -374,7 +419,7 @@ impl CacheSystem {
     /// first ticket probe finds them cached instead of cold-polling
     /// memory.
     pub fn preload(&mut self, line: LineAddr, data: LineData) {
-        let ev = self.l3.insert(line, data, false);
+        let ev = self.l3_insert(line, data, false);
         debug_assert!(ev.is_none(), "preload runs on an empty cache");
     }
 

@@ -153,6 +153,25 @@ struct TxPath {
     wait: CommitWait,
 }
 
+/// What one cycle in which a stalled core is not ticked records: the
+/// dispatch stall cause (`None` once no uop is left to dispatch) and
+/// whether a held `log-load`'s retry advances the LLT's LRU clock. See
+/// [`Core::skip_credit`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SkipCredit {
+    stall: Option<StallCause>,
+    llt_retry: bool,
+}
+
+impl SkipCredit {
+    /// Adds `n` cycles of this credit's dispatch stalls to `stats`.
+    pub fn add_stalls(&self, stats: &mut CoreStats, n: u64) {
+        if let Some(cause) = self.stall {
+            stats.add_stall_cycles(cause, n);
+        }
+    }
+}
+
 /// A single out-of-order core executing one thread's trace.
 #[derive(Debug)]
 pub struct Core {
@@ -425,7 +444,7 @@ impl Core {
     /// Advances the core by one cycle. Consecutive calls may jump `now`
     /// forward past a window in which [`Core::next_event_cycle`] reported
     /// no possible progress; such skipped cycles must be credited through
-    /// [`Core::account_skipped_cycles`] to keep statistics exact.
+    /// [`Core::credit_skipped_cycles`] to keep statistics exact.
     pub fn tick<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
         if self.done_at.is_some() {
             return;
@@ -1556,18 +1575,18 @@ impl Core {
         {
             return Some(now);
         }
-        let wake = |at: Cycle, best: &mut Option<Cycle>| {
-            let at = at.max(now);
-            *best = Some(best.map_or(at, |b: Cycle| b.min(at)));
-        };
-        let mut best: Option<Cycle> = None;
-        if let Some(&Reverse((at, _))) = self.completions.peek() {
-            wake(at, &mut best);
+        // Every other source either wants this very cycle, which no later
+        // source can beat, or is the next completion; so each returns as
+        // soon as it fires, cheapest first. The system asks after every
+        // tick whether a core may sleep, and busy cores answer early.
+        let completion = self.completions.peek().map(|&Reverse((at, _))| at.max(now));
+        if completion == Some(now) || !self.held_flushes.is_empty() {
+            return Some(now);
         }
         // Retirement progress at the ROB head.
         if let Some(head) = self.rob.front() {
             if head.completed && !self.head_blocked(head, caches) {
-                wake(now, &mut best);
+                return Some(now);
             }
         }
         // The head store releases (or issues its write-allocate fetch).
@@ -1579,7 +1598,25 @@ impl Core {
                 && (caches.peek(self.id, s.addr).is_some()
                     || !self.mshr.contains_key(&s.addr.line().index()))
             {
-                wake(now, &mut best);
+                return Some(now);
+            }
+        }
+        if self.pc < self.trace.uops.len() {
+            match self.dispatch_stall_cause(caches) {
+                None => return Some(now),
+                // A log-load rejected by the load queue or LR file has
+                // already looked up the LLT by the time the reject is
+                // known. Step the retry if that lookup changes the
+                // table's entries; otherwise it only advances the LRU
+                // clock, which `credit_skipped_cycles` replays.
+                Some(StallCause::LoadQFull | StallCause::LrFull) => {
+                    if let Uop::LogLoad { addr, .. } = self.trace.uops[self.pc] {
+                        if self.llt.failed_retry_changes_entries(addr.log_grain()) {
+                            return Some(now);
+                        }
+                    }
+                }
+                Some(_) => {}
             }
         }
         // A clwb with no unreleased same-line store performs next tick.
@@ -1588,58 +1625,86 @@ impl Core {
             .iter()
             .any(|c| !c.performed && !self.storeq_lines.contains_key(&c.addr.line().index()))
         {
-            wake(now, &mut best);
+            return Some(now);
         }
         // A log flush whose log-load data has arrived sends next tick.
         if self.logq.unsent().any(|e| {
             self.flush_meta.get(&e.id).is_some_and(|(lr, _, _)| self.lrs.data(*lr).is_some())
         }) {
-            wake(now, &mut best);
+            return Some(now);
         }
-        if !self.held_flushes.is_empty() {
-            wake(now, &mut best);
-        }
-        if self.pc < self.trace.uops.len() {
-            match self.dispatch_stall_cause(caches) {
-                None => wake(now, &mut best),
-                // A log-load rejected by the load queue or LR file has
-                // already looked up the LLT by the time the reject is
-                // known. Step the retry if that lookup changes the
-                // table's entries; otherwise it only advances the LRU
-                // clock, which `account_skipped_cycles` replays.
-                Some(StallCause::LoadQFull | StallCause::LrFull) => {
-                    if let Uop::LogLoad { addr, .. } = self.trace.uops[self.pc] {
-                        if self.llt.failed_retry_changes_entries(addr.log_grain()) {
-                            wake(now, &mut best);
-                        }
-                    }
-                }
-                Some(_) => {}
-            }
-        }
-        best
+        completion
     }
 
-    /// Credits `n` skipped cycles to the dispatch-stall statistics and
-    /// replays the LLT lookups of a stalled `log-load`'s retries.
-    ///
-    /// During a skipped window the core's state is frozen, so the
-    /// dispatch path would have recorded the same stall cause on every
-    /// one of those cycles, and a `log-load` held by the load queue or
-    /// LR file would have retried a lookup that only advances the LLT's
-    /// LRU clock (see [`Core::next_event_cycle`]). Replaying both in
-    /// bulk keeps the core exactly where single-stepping leaves it.
-    pub fn account_skipped_cycles<C: CacheAccess>(&mut self, n: u64, caches: &C) {
-        if n == 0 || self.done_at.is_some() || self.pc >= self.trace.uops.len() {
-            return;
+    /// What each cycle this core is not ticked would record, read from
+    /// its current state: the dispatch stall cause, and whether a
+    /// `log-load` held by the load queue or LR file would retry a lookup
+    /// that only advances the LLT's LRU clock (see
+    /// [`Core::next_event_cycle`]). Valid for as long as the state stays
+    /// frozen and the cache lines it peeks at do not change; the caller
+    /// captures it before anything can change them.
+    pub fn skip_credit<C: CacheAccess>(&self, caches: &C) -> SkipCredit {
+        if self.done_at.is_some() || self.pc >= self.trace.uops.len() {
+            return SkipCredit::default();
         }
         let cause = self.dispatch_stall_cause(caches).unwrap_or(StallCause::IssueQFull);
-        self.stats.add_stall_cycles(cause, n);
-        if matches!(cause, StallCause::LoadQFull | StallCause::LrFull)
-            && matches!(self.trace.uops[self.pc], Uop::LogLoad { .. })
-        {
+        SkipCredit {
+            stall: Some(cause),
+            llt_retry: matches!(cause, StallCause::LoadQFull | StallCause::LrFull)
+                && matches!(self.trace.uops[self.pc], Uop::LogLoad { .. }),
+        }
+    }
+
+    /// Replays `n` skipped cycles of `credit` (from [`Core::skip_credit`]):
+    /// their dispatch stalls and LLT retries, in bulk. During a skipped
+    /// window the core's state is frozen, so the dispatch path would have
+    /// recorded the same stall cause on every one of those cycles, and a
+    /// held `log-load` would have advanced only the LLT's LRU clock.
+    /// Replaying both keeps the core exactly where single-stepping leaves
+    /// it.
+    pub fn credit_skipped_cycles(&mut self, credit: SkipCredit, n: u64) {
+        credit.add_stalls(&mut self.stats, n);
+        if credit.llt_retry {
             self.llt.skip_failed_retries(n);
         }
+    }
+
+    /// [`Core::credit_skipped_cycles`] with the credit read from the
+    /// current state: for a window that starts now.
+    pub fn account_skipped_cycles<C: CacheAccess>(&mut self, n: u64, caches: &C) {
+        if n > 0 {
+            self.credit_skipped_cycles(self.skip_credit(caches), n);
+        }
+    }
+
+    /// Ticks a core the engine holds asleep and panics unless the tick
+    /// was the no-op the sleep assumed: no state change (the
+    /// [`Core::debug_fingerprint`] holds still), no request for the
+    /// memory controller, and exactly one cycle of `credit` recorded.
+    /// The `paranoid` cross-check of per-core sleep.
+    #[doc(hidden)]
+    pub fn debug_tick_asleep<C: CacheAccess>(
+        &mut self,
+        now: Cycle,
+        caches: &mut C,
+        credit: SkipCredit,
+    ) {
+        use std::hash::Hasher;
+        let fingerprint = |core: &Core| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            core.debug_fingerprint(&mut h);
+            h.finish()
+        };
+        let before = fingerprint(self);
+        let mut expected = self.stats.clone();
+        credit.add_stalls(&mut expected, 1);
+        let llt_clock = self.llt.clock() + u64::from(credit.llt_retry);
+        self.tick(now, caches);
+        let core = self.id.raw();
+        assert!(self.out.is_empty(), "core {core} slept through cycle {now} but sent a request");
+        assert_eq!(before, fingerprint(self), "core {core} slept through cycle {now} but moved");
+        assert_eq!(self.stats, expected, "core {core}: cycle {now} recorded other than its credit");
+        assert_eq!(self.llt.clock(), llt_clock, "core {core}: cycle {now} LLT retries miscredited");
     }
 
     /// One-line state snapshot for debugging stuck machines. Test-only.

@@ -26,6 +26,6 @@ pub mod core;
 pub mod llt;
 pub mod logq;
 
-pub use crate::core::Core;
+pub use crate::core::{Core, SkipCredit};
 pub use llt::Llt;
 pub use logq::{LogQ, LogRegFile};

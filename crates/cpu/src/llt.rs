@@ -86,6 +86,11 @@ impl Llt {
         self.clock += n;
     }
 
+    /// The LRU clock: lookups so far, replayed retries included.
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock
+    }
+
     /// Removes `grain` after a lookup whose `log-load` could not dispatch
     /// (load queue or log register file full), so the retry looks it up
     /// afresh. After a miss this undoes the insert; after a hit it drops

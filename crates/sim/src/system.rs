@@ -5,7 +5,7 @@ use proteus_core::layout::AddressLayout;
 use proteus_core::pmem::WordImage;
 use proteus_core::recovery::{recover, RecoveryReport};
 use proteus_core::scheme::{expand_program_with, registry, ExpandOptions};
-use proteus_cpu::core::{decode_core, Core, MC_LINK_DELAY};
+use proteus_cpu::core::{decode_core, Core, SkipCredit, MC_LINK_DELAY};
 use proteus_mem::{CrashFaults, LogDrainMode, McEvent, McRequest, MemoryController, PersistEvent};
 use proteus_trace::{TraceReport, Tracer, TrackKind};
 use proteus_types::clock::{Cycle, NextEvent};
@@ -31,15 +31,16 @@ pub struct System {
     max_cycles: Cycle,
     cache_tracer: Tracer,
     trace_sample_interval: Cycle,
-    /// Event-driven fast-forwarding (see `DESIGN.md` §6). Forced off when
-    /// cycle tracing is enabled — tracers sample per cycle.
+    /// Event-driven fast-forwarding and per-core sleep (see `DESIGN.md`
+    /// §6). Forced off when cycle tracing is enabled — tracers sample
+    /// per cycle.
     fast_forward: bool,
     /// Tracing needs every cycle ticked, so it pins the engine to
     /// single-stepping regardless of [`System::set_fast_forward`].
     single_step_forced: bool,
     /// Cross-validate every skip by single-stepping it and asserting the
-    /// state fingerprint never moves (also enabled by the `paranoid`
-    /// cargo feature).
+    /// state fingerprint never moves, and every sleeping core by ticking
+    /// it anyway (also enabled by the `paranoid` cargo feature).
     validate_skips: bool,
     /// Reusable buffer for core→controller requests (no per-cycle
     /// allocation).
@@ -59,6 +60,40 @@ pub struct System {
     /// Cycles ticked by [`System::step`] so far (observational; see
     /// [`System::steps`]).
     steps: u64,
+    /// Per core: the sleep it is in, if fast-forward has stopped ticking
+    /// it (see [`Sleep`]).
+    sleep: Vec<Option<Sleep>>,
+    /// `Core::tick` calls on unfinished cores so far (observational; see
+    /// [`System::core_ticks`]).
+    core_ticks: u64,
+}
+
+/// A core that fast-forward stops ticking because its own
+/// `next_event_cycle` says it cannot change state before `until` (see
+/// DESIGN.md §6, "Per-core sleep"). It wakes at its first turn in core
+/// order at or after `until`, at its first turn after the cache
+/// hierarchy's [`CacheSystem::epoch`] moves past `epoch`, or when the
+/// inbox delivers it an event, whichever comes first.
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    /// The first cycle not yet credited to the core.
+    since: Cycle,
+    /// The core's own wake cycle (`None`: only an event or a cache
+    /// change wakes it).
+    until: Option<Cycle>,
+    /// The cache hierarchy's epoch when the core fell asleep.
+    epoch: u64,
+    /// What each slept cycle records, captured when the core fell asleep:
+    /// a cache change can flip the stall cause before the core wakes,
+    /// so it cannot be read at wake time.
+    credit: SkipCredit,
+}
+
+impl Sleep {
+    /// Whether the core still sleeps at its turn in cycle `now`.
+    fn holds(&self, now: Cycle, epoch: u64) -> bool {
+        self.until.is_none_or(|until| now < until) && epoch == self.epoch
+    }
 }
 
 /// Ceiling for the exponential probe backoff. Probing costs a scan of
@@ -175,6 +210,8 @@ impl System {
             probe_delay: 0,
             probe_backoff: 1,
             steps: 0,
+            sleep: vec![None; workload.programs.len()],
+            core_ticks: 0,
         })
     }
 
@@ -191,17 +228,28 @@ impl System {
         self.steps
     }
 
-    /// Enables or disables event-driven fast-forwarding. A no-op (stays
-    /// off) when the machine was built with cycle tracing, which samples
-    /// per cycle.
+    /// How many times [`System::step`] has ticked an unfinished core so
+    /// far. With fast-forwarding off this is the live cores summed over
+    /// every cycle; with it on, cores asleep in a cycle are not ticked
+    /// (DESIGN.md §6, "Per-core sleep") and do not count. Observational
+    /// only.
+    pub fn core_ticks(&self) -> u64 {
+        self.core_ticks
+    }
+
+    /// Enables or disables event-driven fast-forwarding, per-core sleep
+    /// included: with it off, every cycle ticks every unfinished core. A
+    /// no-op (stays off) when the machine was built with cycle tracing,
+    /// which samples per cycle.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on && !self.single_step_forced;
     }
 
     /// Single-steps every would-be skip and asserts the machine
-    /// fingerprint never moves inside it. Testing hook for the
-    /// `next_event_cycle` contract; also forced on by the `paranoid`
-    /// cargo feature.
+    /// fingerprint never moves inside it, and ticks every sleeping core
+    /// anyway, asserting the tick changes nothing but its captured stall
+    /// credit. Testing hook for the `next_event_cycle` contract; also
+    /// forced on by the `paranoid` cargo feature.
     #[doc(hidden)]
     pub fn set_validate_skips(&mut self, on: bool) {
         self.validate_skips = on;
@@ -227,14 +275,59 @@ impl System {
         self.cores.iter().all(Core::is_done)
     }
 
-    /// Advances the machine by one cycle.
+    /// Advances the machine by one cycle: ticks the cores in order, then
+    /// the memory controller, then delivers the controller events due.
+    ///
+    /// With fast-forwarding on, a core whose own `next_event_cycle` says
+    /// it cannot change state next cycle falls asleep after its tick and
+    /// is not ticked again until its wake cycle, an event for it, or a
+    /// cache change it could observe (DESIGN.md §6, "Per-core sleep").
+    /// The stall cycles it sleeps through are credited when it wakes;
+    /// [`System::summary`] includes those still pending, so statistics
+    /// are exact after every call.
     pub fn step(&mut self) {
         let now = self.now;
-        for core in &mut self.cores {
+        let checked = self.validate_skips || cfg!(feature = "paranoid");
+        for (core, sleep) in self.cores.iter_mut().zip(&mut self.sleep) {
+            if let Some(s) = sleep {
+                if self.fast_forward && s.holds(now, self.caches.epoch()) {
+                    if checked {
+                        // Tick it anyway and prove the sleep was sound.
+                        core.credit_skipped_cycles(s.credit, now - s.since);
+                        let epoch = self.caches.epoch();
+                        core.debug_tick_asleep(now, &mut self.caches, s.credit);
+                        assert_eq!(
+                            epoch,
+                            self.caches.epoch(),
+                            "a sleeping core changed the caches"
+                        );
+                        s.since = now + 1;
+                        self.core_ticks += 1;
+                    }
+                    continue;
+                }
+                core.credit_skipped_cycles(s.credit, now - s.since);
+                *sleep = None;
+            }
+            if core.is_done() {
+                continue;
+            }
             core.tick(now, &mut self.caches);
+            self.core_ticks += 1;
             core.drain_requests_into(&mut self.req_buf);
             for (at, req) in self.req_buf.drain(..) {
                 self.mc.submit(req, at);
+            }
+            if self.fast_forward && !core.is_done() {
+                let until = core.next_event_cycle(now + 1, &self.caches);
+                if until.is_none_or(|at| at > now + 1) {
+                    *sleep = Some(Sleep {
+                        since: now + 1,
+                        until,
+                        epoch: self.caches.epoch(),
+                        credit: core.skip_credit(&self.caches),
+                    });
+                }
             }
         }
         self.mc.tick(now);
@@ -258,6 +351,10 @@ impl System {
         for _ in 0..self.inbox.len() {
             let (at, idx, ev) = self.inbox.pop_front().expect("nonempty");
             if at <= now {
+                // An event wakes its core, which slept through this cycle.
+                if let Some(s) = self.sleep[idx].take() {
+                    self.cores[idx].credit_skipped_cycles(s.credit, now + 1 - s.since);
+                }
                 self.cores[idx].handle_event(&ev, now, &mut self.caches);
             } else {
                 self.inbox.push_back((at, idx, ev));
@@ -287,8 +384,16 @@ impl System {
         if best == Some(now) {
             return best;
         }
-        for core in &self.cores {
-            if let Some(at) = core.next_event_cycle(now, &self.caches) {
+        let epoch = self.caches.epoch();
+        for (core, sleep) in self.cores.iter().zip(&self.sleep) {
+            // A sleeping core's state is frozen and nothing it observes
+            // in the caches has changed, so its own wake cycle still
+            // stands.
+            let next = match sleep {
+                Some(s) if s.epoch == epoch => s.until,
+                _ => core.next_event_cycle(now, &self.caches),
+            };
+            if let Some(at) = next {
                 wake(at, now, &mut best);
             }
             if best == Some(now) {
@@ -331,16 +436,28 @@ impl System {
     }
 
     /// Jumps `now` to `target`, crediting the skipped cycles to each
-    /// core's stall accounting. In validating mode the skip is instead
-    /// single-stepped for real, asserting the state fingerprint never
-    /// moves — proving the engine's claim that the window was quiescent.
+    /// awake core's stall accounting; a sleeping core is credited when it
+    /// wakes. A core whose sleep a cache change has already ended is
+    /// woken first, so the window is credited from its current state. In
+    /// validating mode the skip is instead single-stepped for real,
+    /// asserting the state fingerprint never moves — proving the
+    /// engine's claim that the window was quiescent.
     fn skip_to(&mut self, target: Cycle) {
         if self.validate_skips || cfg!(feature = "paranoid") {
             self.skip_to_checked(target);
             return;
         }
         let n = target - self.now;
-        for core in &mut self.cores {
+        let epoch = self.caches.epoch();
+        for (core, sleep) in self.cores.iter_mut().zip(&mut self.sleep) {
+            match sleep {
+                Some(s) if s.epoch == epoch => continue,
+                Some(s) => {
+                    core.credit_skipped_cycles(s.credit, self.now - s.since);
+                    *sleep = None;
+                }
+                None => {}
+            }
             core.account_skipped_cycles(n, &self.caches);
         }
         self.now = target;
@@ -511,11 +628,24 @@ impl System {
         self.cores.iter().map(Core::debug_dump).collect()
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot, exact at any cycle: a sleeping core's stall
+    /// cycles not yet credited are added to its copy.
     pub fn summary(&self) -> RunSummary {
         let (l1d, l2, l3) = self.caches.stats();
         let mut coherence = self.caches.coherence_stats().clone();
         coherence.lock_acquires = self.cores.iter().map(Core::lock_acquires).sum();
+        let core = self
+            .cores
+            .iter()
+            .zip(&self.sleep)
+            .map(|(c, sleep)| {
+                let mut stats = c.stats().clone();
+                if let Some(s) = sleep {
+                    s.credit.add_stalls(&mut stats, self.now - s.since);
+                }
+                stats
+            })
+            .collect();
         RunSummary {
             total_cycles: self
                 .cores
@@ -524,7 +654,7 @@ impl System {
                 .max()
                 .unwrap_or(self.now)
                 .max(if self.is_done() { 0 } else { self.now }),
-            core: self.cores.iter().map(|c| c.stats().clone()).collect(),
+            core,
             mem: self.mc.stats().clone(),
             l1d,
             l2,

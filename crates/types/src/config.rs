@@ -386,8 +386,11 @@ impl Default for TraceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Skip quiescent windows by advancing `now` straight to the next
-    /// component wakeup instead of spinning empty ticks. Cycle-exact by
-    /// construction (see DESIGN.md §6); disable only to cross-validate.
+    /// component wakeup instead of spinning empty ticks, and, between
+    /// such windows, stop ticking each core that cannot make progress
+    /// until its wake cycle, an event for it, or a cache change it can
+    /// observe (per-core sleep). Cycle-exact by construction (see
+    /// DESIGN.md §6); disable only to cross-validate.
     pub fast_forward: bool,
 }
 

@@ -24,7 +24,17 @@ fn observe(
     scheme: LoggingSchemeKind,
     fast_forward: bool,
 ) -> (RunSummary, Vec<proteus_mem::PersistEvent>, u64) {
-    let mut system = System::new(&config(), scheme, workload).unwrap();
+    observe_on(&config(), workload, scheme, fast_forward)
+}
+
+/// [`observe`] on the machine `cfg`.
+fn observe_on(
+    cfg: &SystemConfig,
+    workload: &GeneratedWorkload,
+    scheme: LoggingSchemeKind,
+    fast_forward: bool,
+) -> (RunSummary, Vec<proteus_mem::PersistEvent>, u64) {
+    let mut system = System::new(cfg, scheme, workload).unwrap();
     system.set_fast_forward(fast_forward);
     system.set_record_persist_events(true);
     let summary = system.run().unwrap();
@@ -154,6 +164,93 @@ fn fast_forward_skips_full_queue_retry_windows() {
                 "{scheme:?}: fast-forward stepped {steps_ff} of {} cycles",
                 summary.total_cycles
             );
+        }
+    }
+}
+
+/// Per-core sleep: on the busy 4-core SS machine most cores spend most
+/// cycles behind a full queue or a draining fence while another core or
+/// the controller keeps the machine awake. Fast-forward must stop
+/// ticking them (at most a third of the single-stepped core ticks) and
+/// still match single-stepping byte for byte.
+#[test]
+fn stalled_cores_sleep_through_busy_cycles() {
+    use proteus_workgen::roster;
+
+    let d = roster::by_cli_name("ss").expect("roster workload");
+    let workload = d.sel().generate(&d.params(4, 0.001));
+    let cfg = SystemConfig::skylake_like().with_num_cores(4).with_cache_divisor(64);
+    for scheme in [LoggingSchemeKind::Atom, LoggingSchemeKind::Proteus, LoggingSchemeKind::Incll] {
+        let run = |fast_forward: bool, max_cycles: u64| {
+            let mut system = System::new(&cfg, scheme, &workload).unwrap();
+            system.set_fast_forward(fast_forward);
+            system.set_max_cycles(max_cycles);
+            system.set_record_persist_events(true);
+            let summary = system.run().unwrap();
+            let observed = (summary, system.persist_timeline().to_vec(), system.now());
+            (observed, system.core_ticks())
+        };
+        let (ss, ticks_ss) = run(false, u64::MAX);
+        // A core that never wakes fails the run instead of hanging it.
+        let (ff, ticks_ff) = run(true, 2 * ss.2);
+        assert_eq!(ff.0, ss.0, "{scheme:?}: RunSummary diverged between engine modes");
+        assert_eq!(ff.1, ss.1, "{scheme:?}: persist timeline diverged between engine modes");
+        assert_eq!(ff.2, ss.2, "{scheme:?}: completion cycle diverged");
+        // The paranoid build ticks every sleeping core to check it.
+        if !cfg!(feature = "paranoid") {
+            assert!(
+                ticks_ff * 3 <= ticks_ss,
+                "{scheme:?}: fast-forward ticked cores {ticks_ff} times of {ticks_ss}"
+            );
+        }
+    }
+}
+
+/// Statistics are exact wherever a run stops, not only at completion:
+/// `summary()` after `run_until(c)` must match single-stepping at the
+/// same cycle while cores are asleep with stall cycles not yet credited.
+/// The contended workload puts lock waiters to sleep on a lock word
+/// another core releases, a cache change that flips their stall cause
+/// before they wake.
+#[test]
+fn mid_run_statistics_match_single_stepping() {
+    use proteus_types::stats::StallCause;
+    use proteus_workloads::{generate_contended, ContendedKind, ContendedSpec};
+
+    let params = WorkloadParams { threads: 4, init_ops: 48, sim_ops: 16, seed: 11 };
+    let contended = generate_contended(
+        &ContendedSpec { kind: ContendedKind::MpmcQueue, early_release: false },
+        &params,
+    );
+    let single_owner = generate(Benchmark::Queue, &params);
+    let cfg = SystemConfig::skylake_like().with_num_cores(4);
+    for (name, workload) in [("QE", &single_owner), ("MQ", &contended)] {
+        for scheme in [LoggingSchemeKind::Atom, LoggingSchemeKind::Proteus] {
+            let total = observe_on(&cfg, workload, scheme, false).2;
+            let machine = |fast_forward: bool| {
+                let mut system = System::new(&cfg, scheme, workload).unwrap();
+                system.set_fast_forward(fast_forward);
+                // A core that never wakes fails the run instead of
+                // hanging it.
+                system.set_max_cycles(2 * total);
+                system
+            };
+            let (mut ff, mut ss) = (machine(true), machine(false));
+            for k in 1..8 {
+                let c = total * k / 8;
+                assert_eq!(ff.run_until(c), ss.run_until(c));
+                assert_eq!(
+                    ff.summary().core,
+                    ss.summary().core,
+                    "{name}/{scheme:?}: core statistics at cycle {c}"
+                );
+            }
+            let ff_last = ff.run().unwrap();
+            assert_eq!(ff_last, ss.run().unwrap(), "{name}/{scheme:?}: RunSummary diverged");
+            if name == "MQ" {
+                let waits = ff_last.cores_merged().stall(StallCause::LockWait);
+                assert!(waits > 0, "{name}/{scheme:?}: cores must wait on locks");
+            }
         }
     }
 }
