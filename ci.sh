@@ -18,7 +18,10 @@
 #       trip (`reproduce gen --workload indexer --file` then
 #       `reproduce replay --file`, which fails unless the replayed
 #       workload and every scheme's RunSummary are byte-identical to
-#       regenerating from the trace header), a tracedump run
+#       regenerating from the trace header), a resume round trip
+#       (`reproduce fig8 --scale 0.002 --threads 2 --resume LEDGER`
+#       twice: the second run must execute no job and print
+#       byte-identical stdout), a tracedump run
 #       (self-validating: trace must reconcile with the RunSummary and
 #       the Chrome JSON must parse with all tracks populated), and a
 #       `reproduce bench` run timing the cycle engine with

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce <TARGET|all> [--scale S] [--threads N] [--jobs J] [--resume LEDGER]
-//!           [--events PATH] [--file PATH] [--workload NAME] [--list]
+//!           [--file PATH] [--workload NAME] [--list]
 //! ```
 //!
 //! The targets are the figures (`fig6`–`fig12`), the tables
@@ -26,10 +26,11 @@
 //! * `--resume LEDGER` — JSONL checkpoint file. Experiments already
 //!   completed in the ledger are restored instead of re-run, so an
 //!   interrupted (or partially crashed) invocation picks up where it
-//!   left off when re-run with the same ledger;
-//! * `--events PATH` — append a structured JSONL telemetry stream
-//!   (job start/end, outcomes, simulated cycles, sim-cycles/s, queue
-//!   depth, worker occupancy) for offline analysis.
+//!   left off when re-run with the same ledger.
+//!
+//! Each finished job prints a `[harness i/n]` progress line to stderr
+//! (outcome, wall time, simulated cycles per second), and each sweep a
+//! summary with its worker utilisation.
 //!
 //! `bench` times the cycle engine on a fixed workload basket with
 //! event-driven fast-forwarding on and off, cross-checking that both
@@ -101,7 +102,7 @@ fn usage_line() -> String {
     let targets: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).chain(["all"]).collect();
     format!(
         "usage: reproduce <{}> [--scale S] [--threads N] [--jobs J] [--resume LEDGER] \
-         [--events PATH] [--file PATH] [--workload NAME] [--list]",
+         [--file PATH] [--workload NAME] [--list]",
         targets.join("|")
     )
 }
@@ -139,7 +140,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
             "--threads" => ctx.scale.threads = number(flag, value()?)?,
             "--jobs" => ctx.opts.workers = number(flag, value()?)?,
             "--resume" => ctx.opts.ledger = Some(PathBuf::from(value()?)),
-            "--events" => ctx.opts.events = Some(PathBuf::from(value()?)),
             "--file" => ctx.file = Some(PathBuf::from(value()?)),
             "--workload" => ctx.workload = Some(value()?.clone()),
             other => return Err(format!("unknown argument: {other}")),
@@ -244,6 +244,10 @@ mod tests {
         assert!(parse_args(&["table2", "--threads", "-1"]).is_err());
         assert_eq!(parse_args(&["table2", "--scale"]).unwrap_err(), "missing value for --scale");
         assert!(parse_args(&["table2", "--bogus", "1"]).is_err());
+        assert_eq!(
+            parse_args(&["fig6", "--events", "x"]).unwrap_err(),
+            "unknown argument: --events"
+        );
     }
 
     #[test]

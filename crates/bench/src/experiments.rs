@@ -8,9 +8,9 @@
 //!
 //! Every experiment runs its scheme sweeps through `proteus-harness`
 //! via the [`SweepOptions`] carried in [`ExperimentCtx`]: worker count,
-//! resume ledger, and telemetry event stream all apply uniformly, and a
-//! panic in one simulator run is isolated to that job instead of
-//! tearing down the whole figure.
+//! resume ledger and progress lines apply uniformly, and a panic in one
+//! simulator run is isolated to that job instead of tearing down the
+//! whole figure.
 
 use proteus_core::scheme::registry;
 use proteus_harness::SweepOptions;
@@ -61,8 +61,8 @@ impl ExperimentScale {
 }
 
 /// Everything an experiment needs beyond its own definition: workload
-/// scale plus the harness orchestration knobs (`--jobs`, `--resume`,
-/// `--events` in the `reproduce` binary).
+/// scale plus the harness orchestration knobs (`--jobs` and `--resume`
+/// in the `reproduce` binary).
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentCtx {
     /// Workload scale/threads knobs.
@@ -78,8 +78,8 @@ pub struct ExperimentCtx {
 }
 
 impl ExperimentCtx {
-    /// Context with default orchestration (auto workers, no ledger or
-    /// event stream).
+    /// Context with default orchestration (auto workers, no ledger, no
+    /// progress lines).
     pub fn from_scale(scale: ExperimentScale) -> Self {
         ExperimentCtx { scale, opts: SweepOptions::default(), file: None, workload: None }
     }
@@ -711,14 +711,11 @@ pub fn crashsweep(ctx: &ExperimentCtx) -> Result<String, SimError> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let report = proteus_crash::sweep(&specs, &ctx.opts)?;
+    let outcomes = proteus_crash::sweep(&specs, &ctx.opts)?.into_payloads()?;
 
     let mut table = Table::new(["bench", "scheme", "events", "points", "violations"]);
     let mut violated = Vec::new();
-    for (spec, result) in specs.iter().zip(&report.results) {
-        let outcome = result.payload.as_ref().ok_or_else(|| {
-            SimError::HarnessIo(format!("exploration '{}' did not complete", result.name))
-        })?;
+    for (spec, outcome) in specs.iter().zip(&outcomes) {
         table.row([
             spec.bench.abbrev().to_string(),
             spec.scheme.label().to_string(),
@@ -805,21 +802,20 @@ pub fn contention(ctx: &ExperimentCtx) -> Result<String, SimError> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let report = proteus_crash::sweep(&specs, &ctx.opts)?;
+    let outcomes = proteus_crash::sweep(&specs, &ctx.opts)?.into_payloads()?;
 
     let mut table = Table::new(["workload", "scheme", "events", "points", "violations"]);
     let mut violated = Vec::new();
-    for (spec, result) in specs.iter().zip(&report.results) {
-        let outcome = result.payload.as_ref().ok_or_else(|| {
-            SimError::HarnessIo(format!("exploration '{}' did not complete", result.name))
-        })?;
+    for (spec, outcome) in specs.iter().zip(&outcomes) {
         // The acceptance bar: >= 200 stratified crash points per cell.
         // Scaled-down smokes explore every event they have; only the
-        // default scale (and up) is held to the absolute floor.
+        // default scale (and up) is held to the absolute floor, which
+        // the roster's workload sizing must clear.
         if ctx.scale.scale >= 0.1 && outcome.points_explored < 200 {
-            return Err(SimError::HarnessIo(format!(
+            return Err(SimError::InvalidConfig(format!(
                 "{}: only {} crash points (floor is 200 at scale >= 0.1)",
-                result.name, outcome.points_explored
+                spec.name(),
+                outcome.points_explored
             )));
         }
         table.row([
@@ -1231,36 +1227,33 @@ mod tests {
         assert_eq!(out.lines().count(), 2 + 1 + 6, "header+rule+6 rows:\n{out}");
     }
 
-    /// Acceptance path for `reproduce fig6 --events <path>`: the figure
-    /// runs through the harness and narrates every job in the JSONL
-    /// event stream.
+    /// Acceptance path for `reproduce fig6 --resume <ledger>`: every
+    /// job of the figure reaches the ledger, and a re-run restores all
+    /// of them and prints the same report.
     #[test]
-    fn fig6_streams_events_through_the_harness() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("proteus-bench-fig6-events-{}.jsonl", std::process::id()));
+    fn fig6_resumes_every_job_from_its_ledger() {
+        let path = std::env::temp_dir()
+            .join(format!("proteus-bench-fig6-ledger-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
         let mut ctx = tiny();
         ctx.opts.workers = 2;
-        ctx.opts.events = Some(path.clone());
-        let out = fig6(&ctx).unwrap();
-        assert!(out.contains("geomean"));
+        ctx.opts.ledger = Some(path.clone());
+        let first = fig6(&ctx).unwrap();
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed: Vec<Json> =
-            text.lines().map(|l| json::parse(l).expect("event line parses")).collect();
-        let count = |k: &str| {
-            parsed.iter().filter(|v| v.get("event").and_then(Json::as_str) == Some(k)).count()
-        };
         // One sweep per Table 2 benchmark, one job per scheme in each.
-        assert_eq!(count("sweep-start"), Benchmark::TABLE2.len());
-        assert_eq!(count("sweep-end"), Benchmark::TABLE2.len());
-        assert_eq!(count("job-end"), Benchmark::TABLE2.len() * LoggingSchemeKind::ALL.len());
-        assert!(parsed
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<Json> =
+            text.lines().map(|l| json::parse(l).expect("ledger line parses")).collect();
+        assert_eq!(records.len(), Benchmark::TABLE2.len() * LoggingSchemeKind::ALL.len());
+        assert!(records
             .iter()
-            .filter(|v| v.get("event").and_then(Json::as_str) == Some("job-end"))
             .all(|v| v.get("outcome").and_then(Json::as_str) == Some("completed")));
+
+        assert_eq!(fig6(&ctx).unwrap(), first, "a resumed figure prints the same report");
+        let after = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
+        assert_eq!(after, text, "a fully resumed figure runs and records nothing");
     }
 
     /// Identical contexts regenerate identical reports: the derived

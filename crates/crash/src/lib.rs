@@ -21,7 +21,7 @@
 //!   the memory controller), explored exhaustively for small executions
 //!   and via seeded stratified sampling for large ones.
 //! * [`sweep`] — fan-out of exploration jobs through `proteus-harness`
-//!   (worker pool, resumable ledger, telemetry).
+//!   (worker pool, panic isolation, resumable ledger).
 //! * [`repro`] — shrinking of violations to a minimal workload + crash
 //!   point, saved as a replayable JSON artifact.
 //!

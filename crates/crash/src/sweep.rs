@@ -3,36 +3,31 @@
 //! Each [`ExploreSpec`] becomes one harness job named
 //! `crash/<bench>/<scheme>/<fault>`, keyed by its stable spec hash, so
 //! sweeps inherit everything `proteus-harness` provides: a worker pool
-//! with panic isolation, a resumable JSON Lines ledger (re-running an
-//! interrupted sweep skips completed explorations and restores their
-//! outcomes), and the structured telemetry stream.
+//! with panic isolation and a resumable JSON Lines ledger (re-running
+//! an interrupted sweep skips completed explorations and restores
+//! their outcomes).
 
 use crate::explore::{explore, ExploreOutcome, ExploreSpec, ViolationPoint};
 use proteus_harness::{Harness, JobSpec, Json, PayloadCodec, SweepOptions, SweepReport};
 use proteus_types::SimError;
 
 /// Runs every spec through the harness worker pool.
+/// [`SweepReport::into_payloads`] turns the report into the outcomes
+/// or the first failed exploration's error.
 ///
 /// # Errors
 ///
-/// Only harness infrastructure failures ([`SimError::HarnessIo`]) are
-/// errors; per-job simulator errors surface as failed jobs in the
-/// report, and consistency violations are *data* in each job's
-/// [`ExploreOutcome`] payload.
+/// Only ledger failures ([`SimError::HarnessIo`]) are errors;
+/// per-job simulator errors and panics surface as failed or crashed
+/// jobs in the report, and consistency violations are *data* in each
+/// job's [`ExploreOutcome`] payload.
 pub fn sweep(
     specs: &[ExploreSpec],
     opts: &SweepOptions,
 ) -> Result<SweepReport<ExploreOutcome>, SimError> {
     let jobs: Vec<JobSpec> = specs.iter().map(|s| JobSpec::new(s.name(), s.spec_hash())).collect();
-    Harness::<ExploreOutcome>::new()
-        .with_codec(outcome_codec())
-        .with_metric(|o| o.points_explored as u64)
-        .run(&jobs, opts, |i| explore(&specs[i]).map_err(|e| e.to_string()))
-}
-
-/// Ledger codec for [`ExploreOutcome`] payloads.
-fn outcome_codec() -> PayloadCodec<ExploreOutcome> {
-    PayloadCodec { encode: encode_outcome, decode: decode_outcome }
+    let codec = PayloadCodec { encode: encode_outcome, decode: decode_outcome };
+    Harness::new(codec, |o| o.points_explored as u64).run(&jobs, opts, |i| explore(&specs[i]))
 }
 
 fn encode_outcome(o: &ExploreOutcome) -> Json {
@@ -74,6 +69,35 @@ fn decode_outcome(v: &Json) -> Option<ExploreOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_types::config::LoggingSchemeKind;
+    use proteus_workloads::{Benchmark, WorkloadParams};
+
+    /// A crashed exploration's panic message — not a generic "did not
+    /// complete" — is what an all-or-nothing caller gets back, after
+    /// its sibling completed.
+    #[test]
+    fn failed_exploration_message_reaches_the_caller() {
+        let params = |init_ops| WorkloadParams { threads: 1, init_ops, sim_ops: 1, seed: 3 };
+        let ok = ExploreSpec::new(Benchmark::Queue, params(20), LoggingSchemeKind::Proteus, 4);
+        // One transaction updating 64 Ki elements overflows the
+        // 4 Ki-entry log area, which the core treats as a sizing bug
+        // and panics on.
+        let overflow = ExploreSpec::new(
+            Benchmark::LargeTx { elements: 1 << 16 },
+            params(1),
+            LoggingSchemeKind::Proteus,
+            4,
+        );
+        let report = sweep(&[ok, overflow.clone()], &SweepOptions::default()).unwrap();
+        assert_eq!((report.completed, report.crashed), (1, 1));
+        match report.into_payloads() {
+            Err(SimError::WorkerPanic { job, message }) => {
+                assert_eq!(job, overflow.name());
+                assert!(message.contains("LogAreaOverflow"), "{message}");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+    }
 
     #[test]
     fn outcome_codec_round_trips() {

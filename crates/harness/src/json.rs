@@ -1,8 +1,8 @@
 //! Minimal JSON tree, emitter, and parser.
 //!
-//! The harness persists its ledger and event stream as JSON Lines. The
-//! workspace deliberately has no `serde_json` dependency (it must build
-//! in offline environments with no registry at all), and the payloads
+//! The harness persists its ledger as JSON Lines. The workspace
+//! deliberately has no `serde_json` dependency (it must build in
+//! offline environments with no registry at all), and the payloads
 //! involved are small machine-written records — so a ~300-line
 //! self-contained implementation is the right tool: no reflection, no
 //! derive, exact `u64` round-trips for cycle counters and hashes.

@@ -11,7 +11,8 @@
 //! **latest record for a hash wins**. A job that crashed on the first
 //! run and completed on the resume run therefore reads back as
 //! completed. A truncated final line (the classic kill-mid-write
-//! artifact) is tolerated and ignored on load.
+//! artifact, possibly cut inside a multi-byte character) and any other
+//! unreadable line are skipped on load.
 
 use crate::json::{self, Json};
 use proteus_types::{JobOutcome, SimError};
@@ -32,9 +33,7 @@ pub struct LedgerRecord {
     pub name: String,
     /// How the job ended.
     pub outcome: JobOutcome,
-    /// Attempts consumed (1 = no retries).
-    pub attempts: u32,
-    /// Wall-clock seconds spent across all attempts.
+    /// Wall-clock seconds the job ran.
     pub wall_seconds: f64,
     /// Result payload for completed jobs, as encoded by the sweep's
     /// [`crate::scheduler::PayloadCodec`]; `Json::Null` otherwise.
@@ -53,23 +52,22 @@ impl LedgerRecord {
         if let Some(msg) = self.outcome.message() {
             pairs.push(("message", Json::str(msg)));
         }
-        pairs.push(("attempts", Json::U64(u64::from(self.attempts))));
         pairs.push(("wall_seconds", Json::F64(self.wall_seconds)));
         pairs.push(("payload", self.payload.clone()));
         Json::obj(pairs)
     }
 
     /// Decodes one ledger line; `None` on malformed or foreign shapes.
+    /// An `attempts` field, written by older versions, is ignored.
     pub fn from_json(v: &Json) -> Option<LedgerRecord> {
         let spec_hash = u64::from_str_radix(v.get("spec_hash")?.as_str()?, 16).ok()?;
         let name = v.get("name")?.as_str()?.to_string();
         let label = v.get("outcome")?.as_str()?;
         let message = v.get("message").and_then(Json::as_str);
         let outcome = JobOutcome::from_parts(label, message)?;
-        let attempts = v.get("attempts")?.as_u64()? as u32;
         let wall_seconds = v.get("wall_seconds").and_then(Json::as_f64).unwrap_or(0.0);
         let payload = v.get("payload").cloned().unwrap_or(Json::Null);
-        Some(LedgerRecord { spec_hash, name, outcome, attempts, wall_seconds, payload })
+        Some(LedgerRecord { spec_hash, name, outcome, wall_seconds, payload })
     }
 }
 
@@ -85,8 +83,9 @@ pub struct LedgerSnapshot {
 
 impl LedgerSnapshot {
     /// Loads a snapshot from `path`. A missing file yields an empty
-    /// snapshot (first run); unreadable or version-incompatible lines
-    /// are skipped, and a truncated trailing line is ignored.
+    /// snapshot (first run); lines that are not UTF-8, not JSON, or of
+    /// another version are skipped, so a truncated trailing line is
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -106,17 +105,19 @@ impl LedgerSnapshot {
             }
         };
         let mut snapshot = LedgerSnapshot::default();
-        for line in BufReader::new(file).lines() {
+        for line in BufReader::new(file).split(b'\n') {
             let line = line.map_err(|e| {
                 SimError::HarnessIo(format!("cannot read ledger {}: {e}", path.display()))
             })?;
-            let trimmed = line.trim();
+            // A malformed line (torn write from a killed process, cut
+            // anywhere — even inside a UTF-8 character — or a record
+            // from a different version) is data loss we recover from,
+            // not an error: the affected job simply re-runs.
+            let Ok(text) = std::str::from_utf8(&line) else { continue };
+            let trimmed = text.trim();
             if trimmed.is_empty() {
                 continue;
             }
-            // A malformed line (torn write from a killed process, or a
-            // record from a different version) is data loss we recover
-            // from, not an error: the affected job simply re-runs.
             let Ok(v) = json::parse(trimmed) else { continue };
             if v.get("v").and_then(Json::as_u64) != Some(LEDGER_VERSION) {
                 continue;
@@ -208,7 +209,6 @@ mod tests {
             spec_hash: hash,
             name: format!("job-{hash:x}"),
             outcome,
-            attempts: 1,
             wall_seconds: 0.25,
             payload: Json::obj([("cycles", Json::U64(1234))]),
         }
@@ -270,12 +270,21 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             writeln!(f, "not json at all").unwrap();
             writeln!(f, r#"{{"v":999,"spec_hash":"02","outcome":"completed""#).unwrap();
-            // Torn final line: no newline, cut mid-record.
-            write!(f, r#"{{"v":1,"spec_hash":"0000000000000003","out"#).unwrap();
+            // A line that is not UTF-8 at all, then an intact record.
+            f.write_all(b"\xff\xfe junk \xc0\n").unwrap();
+            writeln!(f, "{}", sample(5, JobOutcome::Completed).to_json().to_line()).unwrap();
+            // Torn final line: no newline, cut mid-record inside a
+            // multi-byte character (an em dash, E2 80 94, cut after
+            // two bytes).
+            f.write_all(
+                b"{\"v\":1,\"spec_hash\":\"0000000000000003\",\"message\":\"stale \xE2\x80",
+            )
+            .unwrap();
         }
         let snap = LedgerSnapshot::load(&path).unwrap();
-        assert_eq!(snap.len(), 1, "only the intact, version-matched record survives");
+        assert_eq!(snap.len(), 2, "only the intact, version-matched records survive");
         assert!(snap.completed(1).is_some());
+        assert!(snap.completed(5).is_some(), "lines after a non-UTF-8 line still load");
         std::fs::remove_file(&path).unwrap();
     }
 }

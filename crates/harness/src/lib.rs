@@ -7,18 +7,18 @@
 //!
 //! - **Scheduling** ([`scheduler`]): a shared-queue worker pool with a
 //!   configurable width and input-order result collection.
-//! - **Panic isolation**: each job attempt runs under `catch_unwind`;
-//!   a crashing experiment is recorded as
-//!   [`proteus_types::JobOutcome::Crashed`] (with bounded retry)
-//!   instead of killing its siblings.
+//! - **Panic isolation**: each job runs once under `catch_unwind`; a
+//!   crashing experiment is recorded as
+//!   [`proteus_types::JobOutcome::Crashed`] instead of killing its
+//!   siblings.
 //! - **Resumable ledger** ([`ledger`]): a JSON Lines checkpoint keyed
 //!   by the experiment's stable spec hash
 //!   ([`proteus_types::StableHash`]), appended and flushed as each job
 //!   finishes. Re-running the sweep with the same ledger skips
 //!   already-completed jobs and restores their payloads.
-//! - **Telemetry** ([`events`]): a structured JSON Lines event stream
-//!   (job start/retry/end, simulated cycles, sim-cycles-per-second,
-//!   queue depth, busy workers) plus a human progress line.
+//! - **Progress**: an optional stderr line per finished job (outcome,
+//!   wall time, metric rate) and a sweep summary with worker
+//!   utilisation.
 //!
 //! The crate depends only on `std` and `proteus-types`: it is the
 //! layer that must not fail, so it takes no dependencies that could
@@ -27,24 +27,23 @@
 //! # Example
 //!
 //! ```
-//! use proteus_harness::{Harness, JobSpec, SweepOptions};
+//! use proteus_harness::{Harness, JobSpec, Json, PayloadCodec, SweepOptions};
 //!
+//! let codec = PayloadCodec { encode: |v: &u64| Json::U64(*v), decode: Json::as_u64 };
 //! let jobs: Vec<JobSpec> =
 //!     (0..4).map(|i| JobSpec::new(format!("double/{i}"), 0xC0FFEE + i)).collect();
-//! let report = Harness::<u64>::new()
+//! let report = Harness::new(codec, |v| *v)
 //!     .run(&jobs, &SweepOptions::default(), |i| Ok(i as u64 * 2))
 //!     .unwrap();
 //! assert!(report.is_all_completed());
-//! assert_eq!(report.results[3].payload, Some(6));
+//! assert_eq!(report.into_payloads(), Ok(vec![0, 2, 4, 6]));
 //! ```
 
-pub mod events;
 pub mod json;
 pub mod ledger;
 pub mod report;
 pub mod scheduler;
 
-pub use events::{load_events, EventSink, Gauges};
 pub use json::Json;
 pub use ledger::{LedgerRecord, LedgerSnapshot, LedgerWriter};
 pub use report::human_rate;

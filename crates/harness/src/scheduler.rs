@@ -1,21 +1,21 @@
-//! Job scheduler: worker pool, panic isolation, retries, resume.
+//! Job scheduler: worker pool, panic isolation, resume.
 //!
 //! A sweep is a list of [`JobSpec`]s plus a closure that executes one
 //! job by index. The harness runs jobs on a shared-queue worker pool
-//! (configurable width, default = available parallelism), catches
-//! panics per attempt so one crashing experiment cannot take down its
-//! siblings, retries crashed attempts up to a bounded budget, and —
-//! when given a ledger path — checkpoints every terminal outcome so an
-//! interrupted sweep can resume, skipping exactly the jobs whose spec
-//! hash already completed.
+//! (configurable width, default = available parallelism), catches each
+//! job's panic so one crashing experiment cannot take down its
+//! siblings, and — when given a ledger path — checkpoints every
+//! terminal outcome so an interrupted sweep can resume, skipping
+//! exactly the jobs whose spec hash already completed. Every job runs
+//! at most once per sweep: the simulator is deterministic, so running
+//! a crashed job again could not change its outcome.
 //!
 //! The scheduler is deliberately free of third-party dependencies:
 //! `std::thread::scope` for the pool, a `Mutex<VecDeque>` for the
 //! queue, and an `mpsc` channel feeding a single coordinator (the
 //! calling thread) that owns all file I/O. Workers never touch the
-//! ledger or event stream, so output records are never interleaved.
+//! ledger, so its records are never interleaved.
 
-use crate::events::{EventSink, Gauges};
 use crate::json::Json;
 use crate::ledger::{LedgerRecord, LedgerSnapshot, LedgerWriter};
 use crate::report::human_rate;
@@ -23,7 +23,6 @@ use proteus_types::{JobOutcome, SimError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
@@ -63,38 +62,16 @@ impl<T> Clone for PayloadCodec<T> {
 impl<T> Copy for PayloadCodec<T> {}
 
 /// Knobs for one sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Worker threads; `0` means available parallelism. Always clamped
     /// to the job count.
     pub workers: usize,
-    /// Extra attempts for a job whose attempt *panicked*. Clean `Err`
-    /// returns are deterministic simulator errors and never retried.
-    pub max_retries: u32,
     /// Resume ledger path. Completed jobs found here are skipped;
     /// every terminal outcome of this run is appended.
     pub ledger: Option<PathBuf>,
-    /// Telemetry event stream path (JSON Lines, append).
-    pub events: Option<PathBuf>,
-    /// Force every telemetry event to stable storage (`fdatasync` per
-    /// event) instead of just flushing to the OS. Survives machine
-    /// crashes, not merely killed processes; costs one sync per event.
-    pub events_fsync: bool,
     /// Emit a human progress line to stderr per finished job.
     pub progress: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            workers: 0,
-            max_retries: 1,
-            ledger: None,
-            events: None,
-            events_fsync: false,
-            progress: false,
-        }
-    }
 }
 
 /// Terminal state of one job after a sweep.
@@ -104,17 +81,27 @@ pub struct JobResult<T> {
     pub name: String,
     /// Spec hash, as given in the [`JobSpec`].
     pub spec_hash: u64,
-    /// How the job ended.
-    pub outcome: JobOutcome,
-    /// Payload for completed jobs.
-    pub payload: Option<T>,
-    /// Attempts consumed this run (0 when resumed from the ledger).
-    pub attempts: u32,
-    /// Wall-clock seconds across this run's attempts (0 when resumed).
+    /// The job's payload, or its error. A caught panic is
+    /// [`SimError::WorkerPanic`] carrying the panic message.
+    pub result: Result<T, SimError>,
+    /// Wall-clock seconds the job ran (0 when resumed).
     pub wall_seconds: f64,
     /// Whether the result was restored from the ledger rather than
     /// executed.
     pub resumed: bool,
+}
+
+impl<T> JobResult<T> {
+    /// How the job ended, as the ledger records it.
+    pub fn outcome(&self) -> JobOutcome {
+        match &self.result {
+            Ok(_) => JobOutcome::Completed,
+            Err(SimError::WorkerPanic { message, .. }) => {
+                JobOutcome::Crashed { panic: message.clone() }
+            }
+            Err(e) => JobOutcome::Failed { error: e.to_string() },
+        }
+    }
 }
 
 /// Aggregate result of a sweep. `results` is in input-job order.
@@ -149,9 +136,14 @@ impl<T> SweepReport<T> {
         self.failed == 0 && self.crashed == 0
     }
 
-    /// The first non-completed job in input order, if any.
-    pub fn first_failure(&self) -> Option<&JobResult<T>> {
-        self.results.iter().find(|r| !r.outcome.is_completed())
+    /// The payloads in input order.
+    ///
+    /// # Errors
+    ///
+    /// The first non-completed job's error in input order: the job's
+    /// own error, or [`SimError::WorkerPanic`] with the panic message.
+    pub fn into_payloads(self) -> Result<Vec<T>, SimError> {
+        self.results.into_iter().map(|r| r.result).collect()
     }
 
     /// Fraction of worker capacity spent executing jobs, in `[0, 1]`.
@@ -195,56 +187,16 @@ impl<T> SweepReport<T> {
 
 /// A configured sweep executor for payloads of type `T`.
 pub struct Harness<T> {
-    codec: Option<PayloadCodec<T>>,
+    codec: PayloadCodec<T>,
     metric: fn(&T) -> u64,
 }
 
-impl<T> Default for Harness<T> {
-    fn default() -> Self {
-        Harness::new()
-    }
-}
-
-/// Messages from workers to the coordinator.
-enum Msg<T> {
-    Started {
-        index: usize,
-        worker: usize,
-        gauges: Gauges,
-    },
-    Retry {
-        index: usize,
-        attempt: u32,
-        outcome: JobOutcome,
-    },
-    Finished {
-        index: usize,
-        outcome: JobOutcome,
-        payload: Option<T>,
-        attempts: u32,
-        wall_seconds: f64,
-        gauges: Gauges,
-    },
-}
-
 impl<T> Harness<T> {
-    /// A harness with no codec (in-memory sweeps only) and a zero
-    /// metric.
-    pub fn new() -> Harness<T> {
-        Harness { codec: None, metric: |_| 0 }
-    }
-
-    /// Sets the payload codec, enabling ledger checkpoint/resume.
-    pub fn with_codec(mut self, codec: PayloadCodec<T>) -> Harness<T> {
-        self.codec = Some(codec);
-        self
-    }
-
-    /// Sets the progress metric extracted from completed payloads
-    /// (simulated cycles for experiment jobs).
-    pub fn with_metric(mut self, metric: fn(&T) -> u64) -> Harness<T> {
-        self.metric = metric;
-        self
+    /// A harness that checkpoints payloads through `codec` and reports
+    /// progress as `metric` of each completed payload (simulated cycles
+    /// for experiment jobs).
+    pub fn new(codec: PayloadCodec<T>, metric: fn(&T) -> u64) -> Harness<T> {
+        Harness { codec, metric }
     }
 }
 
@@ -252,15 +204,13 @@ impl<T: Send> Harness<T> {
     /// Runs `jobs` through `run_job` under `opts`.
     ///
     /// `run_job` receives the job's index into `jobs` and returns the
-    /// payload or a rendered error message. Panics inside `run_job` are
-    /// caught and recorded as [`JobOutcome::Crashed`]; they never
-    /// propagate.
+    /// payload or the job's error. Panics inside `run_job` are caught
+    /// and recorded as [`SimError::WorkerPanic`]; they never propagate.
     ///
     /// # Errors
     ///
-    /// Only infrastructure failures ([`SimError::HarnessIo`]) are
-    /// errors; job failures are reported in the returned
-    /// [`SweepReport`].
+    /// Only ledger failures ([`SimError::HarnessIo`]) are errors; job
+    /// failures are reported in the returned [`SweepReport`].
     pub fn run<F>(
         &self,
         jobs: &[JobSpec],
@@ -268,234 +218,108 @@ impl<T: Send> Harness<T> {
         run_job: F,
     ) -> Result<SweepReport<T>, SimError>
     where
-        F: Fn(usize) -> Result<T, String> + Sync,
+        F: Fn(usize) -> Result<T, SimError> + Sync,
     {
-        let codec = match (&opts.ledger, self.codec) {
-            (Some(_), None) => {
-                return Err(SimError::HarnessIo(
-                    "a resume ledger requires a payload codec (Harness::with_codec)".to_string(),
-                ))
-            }
-            (_, codec) => codec,
-        };
         let sweep_start = Instant::now();
 
         // -- Resume: restore completed jobs from the ledger. ----------
-        let snapshot = match &opts.ledger {
-            Some(path) => LedgerSnapshot::load(path)?,
-            None => LedgerSnapshot::default(),
-        };
-        let mut slots: Vec<Option<JobResult<T>>> = Vec::with_capacity(jobs.len());
-        let mut pending: VecDeque<usize> = VecDeque::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let restored = snapshot.completed(job.spec_hash).and_then(|rec| {
-                let codec = codec?;
-                let payload = (codec.decode)(&rec.payload)?;
+        let snapshot =
+            opts.ledger.as_deref().map(LedgerSnapshot::load).transpose()?.unwrap_or_default();
+        let mut slots: Vec<Option<JobResult<T>>> = jobs
+            .iter()
+            .map(|job| {
+                let record = snapshot.completed(job.spec_hash)?;
                 Some(JobResult {
                     name: job.name.clone(),
                     spec_hash: job.spec_hash,
-                    outcome: JobOutcome::Completed,
-                    payload: Some(payload),
-                    attempts: 0,
+                    result: Ok((self.codec.decode)(&record.payload)?),
                     wall_seconds: 0.0,
                     resumed: true,
                 })
-            });
-            match restored {
-                Some(result) => slots.push(Some(result)),
-                None => {
-                    pending.push_back(i);
-                    slots.push(None);
-                }
-            }
-        }
+            })
+            .collect();
+        let pending: VecDeque<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
         let resumed = jobs.len() - pending.len();
-        let to_execute = pending.len();
-
-        let workers = resolve_workers(opts.workers, to_execute);
-
-        let mut ledger = match &opts.ledger {
-            Some(path) => Some(LedgerWriter::append(path)?),
-            None => None,
-        };
-        let mut events = match &opts.events {
-            Some(path) => Some(EventSink::open_with_fsync(path, opts.events_fsync)?),
-            None => None,
-        };
-        if let Some(sink) = events.as_mut() {
-            sink.sweep_start(jobs.len(), resumed, workers);
-            for (i, job) in jobs.iter().enumerate() {
-                if slots[i].is_some() {
-                    sink.job_resumed(&job.name, job.spec_hash);
-                }
-            }
-        }
+        let workers = resolve_workers(opts.workers, pending.len());
+        let mut ledger = opts.ledger.as_deref().map(LedgerWriter::append).transpose()?;
 
         // -- Execute. -------------------------------------------------
         let queue = Mutex::new(pending);
-        let busy = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Msg<T>>();
-        let max_attempts = opts.max_retries.saturating_add(1);
+        let (tx, rx) = mpsc::channel::<(usize, Result<T, SimError>, f64)>();
         let mut io_error: Option<SimError> = None;
-        let mut report_counts = (0usize, 0u64, 0f64); // finished, metric, busy_seconds
+        let (mut executed, mut total_metric, mut busy_seconds) = (0usize, 0u64, 0f64);
 
         std::thread::scope(|scope| {
-            for worker_id in 0..workers {
+            for _ in 0..workers {
                 let tx = tx.clone();
-                let queue = &queue;
-                let busy = &busy;
-                let run_job = &run_job;
-                scope.spawn(move || {
-                    loop {
-                        let Some(index) = queue.lock().expect("queue lock").pop_front() else {
-                            break;
-                        };
-                        let now_busy = busy.fetch_add(1, Ordering::SeqCst) + 1;
-                        let gauges = Gauges {
-                            queue_depth: queue.lock().expect("queue lock").len(),
-                            busy_workers: now_busy,
-                        };
-                        if tx.send(Msg::Started { index, worker: worker_id, gauges }).is_err() {
-                            break;
-                        }
-                        let started = Instant::now();
-                        let mut attempts = 0u32;
-                        let (outcome, payload) = loop {
-                            attempts += 1;
-                            match catch_unwind(AssertUnwindSafe(|| run_job(index))) {
-                                Ok(Ok(payload)) => break (JobOutcome::Completed, Some(payload)),
-                                Ok(Err(error)) => {
-                                    // Clean errors are deterministic;
-                                    // retrying cannot help.
-                                    break (JobOutcome::Failed { error }, None);
-                                }
-                                Err(panic_payload) => {
-                                    let outcome = JobOutcome::Crashed {
-                                        panic: panic_message(panic_payload.as_ref()),
-                                    };
-                                    if attempts < max_attempts {
-                                        let _ = tx.send(Msg::Retry {
-                                            index,
-                                            attempt: attempts,
-                                            outcome,
-                                        });
-                                        continue;
-                                    }
-                                    break (outcome, None);
-                                }
-                            }
-                        };
-                        let wall_seconds = started.elapsed().as_secs_f64();
-                        let now_busy = busy.fetch_sub(1, Ordering::SeqCst) - 1;
-                        let gauges = Gauges {
-                            queue_depth: queue.lock().expect("queue lock").len(),
-                            busy_workers: now_busy,
-                        };
-                        let _ = tx.send(Msg::Finished {
-                            index,
-                            outcome,
-                            payload,
-                            attempts,
-                            wall_seconds,
-                            gauges,
+                let (queue, run_job) = (&queue, &run_job);
+                scope.spawn(move || loop {
+                    let Some(index) = queue.lock().expect("queue lock").pop_front() else {
+                        break;
+                    };
+                    let started = Instant::now();
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| run_job(index))).unwrap_or_else(|panic| {
+                            Err(SimError::WorkerPanic {
+                                job: jobs[index].name.clone(),
+                                message: panic_message(panic.as_ref()),
+                            })
                         });
+                    if tx.send((index, result, started.elapsed().as_secs_f64())).is_err() {
+                        break;
                     }
                 });
             }
             drop(tx);
 
-            // -- Coordinate: single owner of ledger/events/stderr. ----
-            let mut finished = 0usize;
-            while finished < to_execute {
-                let Ok(msg) = rx.recv() else { break };
-                match msg {
-                    Msg::Started { index, worker, gauges } => {
-                        let job = &jobs[index];
-                        if let Some(sink) = events.as_mut() {
-                            sink.job_start(&job.name, job.spec_hash, worker, gauges);
+            // -- Coordinate: single owner of the ledger and stderr. ---
+            for (index, result, wall_seconds) in rx {
+                let job = &jobs[index];
+                let done = JobResult {
+                    name: job.name.clone(),
+                    spec_hash: job.spec_hash,
+                    result,
+                    wall_seconds,
+                    resumed: false,
+                };
+                let outcome = done.outcome();
+                if let Some(w) = ledger.as_mut() {
+                    let record = LedgerRecord {
+                        spec_hash: job.spec_hash,
+                        name: job.name.clone(),
+                        outcome: outcome.clone(),
+                        wall_seconds,
+                        payload: done.result.as_ref().map_or(Json::Null, self.codec.encode),
+                    };
+                    if let Err(e) = w.record(&record) {
+                        // Losing the checkpoint is fatal for the
+                        // sweep's contract. Stop dispatching new
+                        // jobs; in-flight ones drain.
+                        if io_error.is_none() {
+                            io_error = Some(e);
+                            queue.lock().expect("queue lock").clear();
                         }
-                    }
-                    Msg::Retry { index, attempt, outcome } => {
-                        let job = &jobs[index];
-                        if let Some(sink) = events.as_mut() {
-                            sink.job_retry(&job.name, attempt, &outcome);
-                        }
-                        if opts.progress {
-                            eprintln!(
-                                "[harness] retrying {} after attempt {attempt} {outcome}",
-                                job.name
-                            );
-                        }
-                    }
-                    Msg::Finished { index, outcome, payload, attempts, wall_seconds, gauges } => {
-                        finished += 1;
-                        let job = &jobs[index];
-                        let metric = payload.as_ref().map(self.metric).unwrap_or(0);
-                        if let Some(w) = ledger.as_mut() {
-                            let encoded = match (&payload, codec) {
-                                (Some(p), Some(c)) => (c.encode)(p),
-                                _ => Json::Null,
-                            };
-                            let record = LedgerRecord {
-                                spec_hash: job.spec_hash,
-                                name: job.name.clone(),
-                                outcome: outcome.clone(),
-                                attempts,
-                                wall_seconds,
-                                payload: encoded,
-                            };
-                            if let Err(e) = w.record(&record) {
-                                // Losing the checkpoint is fatal for the
-                                // sweep's contract. Stop dispatching new
-                                // jobs; in-flight ones drain.
-                                if io_error.is_none() {
-                                    io_error = Some(e);
-                                    queue.lock().expect("queue lock").clear();
-                                }
-                            }
-                        }
-                        if let Some(sink) = events.as_mut() {
-                            sink.job_end(
-                                &job.name,
-                                job.spec_hash,
-                                &outcome,
-                                attempts,
-                                wall_seconds,
-                                metric,
-                                gauges,
-                            );
-                        }
-                        if opts.progress {
-                            let done = finished + resumed;
-                            let rate = if wall_seconds > 0.0 && metric > 0 {
-                                format!(
-                                    ", {} sim-cycles/s",
-                                    human_rate(metric as f64 / wall_seconds)
-                                )
-                            } else {
-                                String::new()
-                            };
-                            eprintln!(
-                                "[harness {done}/{}] {} {} in {wall_seconds:.2}s{rate}",
-                                jobs.len(),
-                                outcome.label(),
-                                job.name,
-                            );
-                        }
-                        report_counts.0 += 1;
-                        report_counts.1 += metric;
-                        report_counts.2 += wall_seconds;
-                        slots[index] = Some(JobResult {
-                            name: job.name.clone(),
-                            spec_hash: job.spec_hash,
-                            outcome,
-                            payload,
-                            attempts,
-                            wall_seconds,
-                            resumed: false,
-                        });
                     }
                 }
+                let metric = done.result.as_ref().map_or(0, self.metric);
+                executed += 1;
+                total_metric += metric;
+                busy_seconds += wall_seconds;
+                if opts.progress {
+                    let rate = if wall_seconds > 0.0 && metric > 0 {
+                        format!(", {} sim-cycles/s", human_rate(metric as f64 / wall_seconds))
+                    } else {
+                        String::new()
+                    };
+                    eprintln!(
+                        "[harness {}/{}] {} {} in {wall_seconds:.2}s{rate}",
+                        executed + resumed,
+                        jobs.len(),
+                        outcome.label(),
+                        job.name,
+                    );
+                }
+                slots[index] = Some(done);
             }
         });
 
@@ -503,42 +327,29 @@ impl<T: Send> Harness<T> {
             return Err(e);
         }
 
-        // Every pending job sent exactly one `Finished`, every resumed
+        // Every pending job sent exactly one result, every resumed
         // slot was filled up front; a hole here is a scheduler bug.
         let results: Vec<JobResult<T>> = slots
             .into_iter()
             .map(|slot| slot.expect("scheduler invariant: every job reaches a terminal outcome"))
             .collect();
-
-        let wall_seconds = sweep_start.elapsed().as_secs_f64();
-        let completed = results.iter().filter(|r| r.outcome.is_completed()).count();
-        let failed =
-            results.iter().filter(|r| matches!(r.outcome, JobOutcome::Failed { .. })).count();
-        let crashed =
-            results.iter().filter(|r| matches!(r.outcome, JobOutcome::Crashed { .. })).count();
+        let completed = results.iter().filter(|r| r.result.is_ok()).count();
+        let crashed = results
+            .iter()
+            .filter(|r| matches!(r.result, Err(SimError::WorkerPanic { .. })))
+            .count();
         let report = SweepReport {
+            failed: results.len() - completed - crashed,
             results,
-            wall_seconds,
+            wall_seconds: sweep_start.elapsed().as_secs_f64(),
             workers,
-            executed: report_counts.0,
+            executed,
             resumed,
             completed,
-            failed,
             crashed,
-            total_metric: report_counts.1,
-            busy_seconds: report_counts.2,
+            total_metric,
+            busy_seconds,
         };
-        if let Some(sink) = events.as_mut() {
-            sink.sweep_end(
-                report.executed,
-                report.resumed,
-                report.completed,
-                report.failed,
-                report.crashed,
-                report.wall_seconds,
-                report.total_metric,
-            );
-        }
         if opts.progress {
             eprintln!("[harness] {}", report.summary_line());
         }
@@ -568,10 +379,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use crate::json;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn u64_codec() -> PayloadCodec<u64> {
-        PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 }
+    fn harness() -> Harness<u64> {
+        Harness::new(PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 }, |v| *v)
     }
 
     fn jobs(n: usize) -> Vec<JobSpec> {
@@ -579,27 +391,32 @@ mod tests {
     }
 
     fn quiet(workers: usize) -> SweepOptions {
-        SweepOptions { workers, max_retries: 0, ..SweepOptions::default() }
+        SweepOptions { workers, ..SweepOptions::default() }
+    }
+
+    fn temp_ledger(tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("proteus-sched-{tag}-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
     fn results_preserve_input_order() {
-        let harness = Harness::<u64>::new();
-        let report = harness.run(&jobs(16), &quiet(4), |i| Ok(i as u64 * 10)).unwrap();
+        let report = harness().run(&jobs(16), &quiet(4), |i| Ok(i as u64 * 10)).unwrap();
         assert_eq!(report.executed, 16);
         assert!(report.is_all_completed());
         for (i, r) in report.results.iter().enumerate() {
-            assert_eq!(r.payload, Some(i as u64 * 10));
+            assert_eq!(r.result, Ok(i as u64 * 10));
             assert_eq!(r.name, format!("job-{i}"));
             assert!(!r.resumed);
-            assert_eq!(r.attempts, 1);
         }
+        assert_eq!(report.into_payloads(), Ok((0..16).map(|i| i * 10).collect()));
     }
 
     #[test]
     fn panic_is_isolated_and_siblings_complete() {
-        let harness = Harness::<u64>::new();
-        let report = harness
+        let report = harness()
             .run(&jobs(8), &quiet(3), |i| {
                 if i == 5 {
                     panic!("injected crash in job {i}");
@@ -610,78 +427,84 @@ mod tests {
         assert_eq!(report.completed, 7);
         assert_eq!(report.crashed, 1);
         let crashed = &report.results[5];
-        assert_eq!(crashed.outcome.label(), "crashed");
-        assert!(crashed.outcome.message().unwrap().contains("injected crash in job 5"));
-        assert!(crashed.payload.is_none());
-        let first = report.first_failure().unwrap();
-        assert_eq!(first.name, "job-5");
+        assert_eq!(crashed.outcome().label(), "crashed");
+        assert!(crashed.outcome().message().unwrap().contains("injected crash in job 5"));
+        match report.into_payloads() {
+            Err(SimError::WorkerPanic { job, message }) => {
+                assert_eq!(job, "job-5");
+                assert!(message.contains("injected crash in job 5"), "{message}");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
     }
 
+    /// A panicking job's closure runs exactly once (a deterministic
+    /// simulator would only crash again), while its siblings complete
+    /// and every outcome, the crash included, reaches the ledger.
     #[test]
-    fn crashed_attempts_retry_up_to_budget() {
+    fn panicking_job_runs_once_and_siblings_are_ledgered() {
+        let path = temp_ledger("once");
         let calls = AtomicU32::new(0);
-        let harness = Harness::<u64>::new();
-        let opts = SweepOptions { workers: 1, max_retries: 2, ..SweepOptions::default() };
-        let report = harness
-            .run(&jobs(1), &opts, |_| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                panic!("always");
-            })
-            .unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "1 attempt + 2 retries");
-        assert_eq!(report.results[0].attempts, 3);
-        assert_eq!(report.crashed, 1);
-    }
-
-    #[test]
-    fn transient_panic_recovers_via_retry() {
-        let calls = AtomicU32::new(0);
-        let harness = Harness::<u64>::new();
-        let opts = SweepOptions { workers: 1, max_retries: 1, ..SweepOptions::default() };
-        let report = harness
-            .run(&jobs(1), &opts, |_| {
-                if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("flaky once");
+        let opts = SweepOptions { workers: 2, ledger: Some(path.clone()), ..quiet(2) };
+        let report = harness()
+            .run(&jobs(4), &opts, |i| {
+                if i == 1 {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    panic!("always");
                 }
-                Ok(99)
+                Ok(i as u64)
             })
             .unwrap();
-        assert_eq!(report.completed, 1);
-        assert_eq!(report.results[0].attempts, 2);
-        assert_eq!(report.results[0].payload, Some(99));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "a crashed job is not run again");
+        assert_eq!((report.completed, report.crashed, report.executed), (3, 1, 4));
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut outcomes: Vec<(String, String)> = text
+            .lines()
+            .map(|l| {
+                let v = json::parse(l).expect("ledger line parses");
+                assert!(v.get("attempts").is_none(), "new records carry no attempts: {l}");
+                let field = |k: &str| v.get(k).and_then(Json::as_str).unwrap().to_string();
+                (field("name"), field("outcome"))
+            })
+            .collect();
+        outcomes.sort();
+        let expected: Vec<(String, String)> = (0..4)
+            .map(|i| (format!("job-{i}"), if i == 1 { "crashed" } else { "completed" }.into()))
+            .collect();
+        assert_eq!(outcomes, expected);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn clean_errors_fail_fast_without_retry() {
         let calls = AtomicU32::new(0);
-        let harness = Harness::<u64>::new();
-        let opts = SweepOptions { workers: 1, max_retries: 5, ..SweepOptions::default() };
-        let report = harness
-            .run(&jobs(1), &opts, |_| {
+        let report = harness()
+            .run(&jobs(1), &quiet(1), |_| {
                 calls.fetch_add(1, Ordering::SeqCst);
-                Err("deterministic config error".to_string())
+                Err(SimError::InvalidConfig("deterministic config error".to_string()))
             })
             .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1, "clean errors are not retried");
         assert_eq!(report.failed, 1);
-        assert_eq!(report.results[0].outcome.message(), Some("deterministic config error"));
+        assert_eq!(
+            report.results[0].outcome().message(),
+            Some("invalid configuration: deterministic config error")
+        );
+        assert_eq!(
+            report.into_payloads(),
+            Err(SimError::InvalidConfig("deterministic config error".to_string())),
+            "the job's own typed error comes back"
+        );
     }
 
     #[test]
     fn ledger_resume_skips_completed_jobs() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("proteus-sched-resume-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let harness = Harness::<u64>::new().with_codec(u64_codec()).with_metric(|v| *v);
-        let opts = SweepOptions {
-            workers: 2,
-            max_retries: 0,
-            ledger: Some(path.clone()),
-            ..SweepOptions::default()
-        };
+        let path = temp_ledger("resume");
+        let opts = SweepOptions { workers: 2, ledger: Some(path.clone()), ..quiet(2) };
 
         // First run: job 2 crashes, the rest complete.
-        let first = harness
+        let first = harness()
             .run(&jobs(5), &opts, |i| {
                 if i == 2 {
                     panic!("crash on first run");
@@ -695,7 +518,7 @@ mod tests {
 
         // Second run: only the crashed job re-executes.
         let executed = AtomicU32::new(0);
-        let second = harness
+        let second = harness()
             .run(&jobs(5), &opts, |i| {
                 executed.fetch_add(1, Ordering::SeqCst);
                 Ok(100 + i as u64)
@@ -706,14 +529,14 @@ mod tests {
         assert_eq!(second.executed, 1);
         assert!(second.is_all_completed());
         for (i, r) in second.results.iter().enumerate() {
-            assert_eq!(r.payload, Some(100 + i as u64), "payloads restored from ledger");
+            assert_eq!(r.result, Ok(100 + i as u64), "payloads restored from ledger");
             assert_eq!(r.resumed, i != 2);
         }
         assert_eq!(second.total_metric, 102, "metric counts executed jobs only");
 
         // Third run: nothing left to do.
-        let third = harness
-            .run(&jobs(5), &opts, |_| -> Result<u64, String> {
+        let third = harness()
+            .run(&jobs(5), &opts, |_| -> Result<u64, SimError> {
                 panic!("must not execute anything")
             })
             .unwrap();
@@ -722,21 +545,30 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Ledgers written before records dropped their `attempts` field
+    /// still resume: the loader ignores the field.
     #[test]
-    fn ledger_without_codec_is_rejected() {
-        let harness = Harness::<u64>::new();
-        let opts = SweepOptions {
-            ledger: Some(std::env::temp_dir().join("unused.jsonl")),
-            ..SweepOptions::default()
-        };
-        let err = harness.run(&jobs(1), &opts, |_| Ok(0)).unwrap_err();
-        assert!(matches!(err, SimError::HarnessIo(_)), "{err}");
+    fn records_with_attempts_still_resume() {
+        let path = temp_ledger("attempts");
+        std::fs::write(
+            &path,
+            "{\"v\":1,\"spec_hash\":\"0000000000001000\",\"name\":\"job-0\",\
+             \"outcome\":\"completed\",\"attempts\":1,\"wall_seconds\":0.5,\"payload\":42}\n",
+        )
+        .unwrap();
+        let report = harness()
+            .run(&jobs(1), &SweepOptions { ledger: Some(path.clone()), ..quiet(1) }, |_| {
+                panic!("a ledgered job must not execute")
+            })
+            .unwrap();
+        assert_eq!((report.executed, report.resumed), (0, 1));
+        assert_eq!(report.results[0].result, Ok(42));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_job_list_yields_empty_report() {
-        let harness = Harness::<u64>::new();
-        let report = harness.run(&[], &quiet(4), |_| Ok(0)).unwrap();
+        let report = harness().run(&[], &quiet(4), |_| Ok(0)).unwrap();
         assert!(report.results.is_empty());
         assert_eq!(report.executed + report.resumed, 0);
         assert!(report.is_all_completed());

@@ -1,10 +1,10 @@
-//! End-to-end harness behaviour: checkpointing, kill/resume, panic
-//! isolation, and the telemetry stream — exercised through real files,
-//! with each sweep standing in for one OS process.
+//! End-to-end harness behaviour: checkpointing, kill/resume and panic
+//! isolation — exercised through real files, with each sweep standing
+//! in for one OS process.
 
 use proteus_harness::json::{self, Json};
 use proteus_harness::{Harness, JobSpec, PayloadCodec, SweepOptions};
-use proteus_types::JobOutcome;
+use proteus_types::SimError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -15,8 +15,8 @@ fn temp_file(tag: &str) -> PathBuf {
     p
 }
 
-fn u64_codec() -> PayloadCodec<u64> {
-    PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 }
+fn harness() -> Harness<u64> {
+    Harness::new(PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 }, |v| *v)
 }
 
 fn jobs(n: usize) -> Vec<JobSpec> {
@@ -30,13 +30,8 @@ fn kill_after_n_resume_reruns_exactly_the_remainder() {
     const TOTAL: usize = 9;
     const KILLED_AFTER: usize = 4;
     let ledger = temp_file("kill");
-    let opts = SweepOptions {
-        workers: 2,
-        max_retries: 0,
-        ledger: Some(ledger.clone()),
-        ..SweepOptions::default()
-    };
-    let harness = Harness::<u64>::new().with_codec(u64_codec());
+    let opts = SweepOptions { workers: 2, ledger: Some(ledger.clone()), progress: false };
+    let harness = harness();
 
     // "Process one": runs the first KILLED_AFTER jobs, then dies. The
     // ledger was flushed per job, so those records survive the kill.
@@ -62,7 +57,7 @@ fn kill_after_n_resume_reruns_exactly_the_remainder() {
     assert!(report.is_all_completed());
     // Restored and freshly-run payloads are indistinguishable.
     for (i, r) in report.results.iter().enumerate() {
-        assert_eq!(r.payload, Some(i as u64));
+        assert_eq!(r.result, Ok(i as u64));
         assert_eq!(r.resumed, i < KILLED_AFTER);
     }
     std::fs::remove_file(&ledger).unwrap();
@@ -75,13 +70,8 @@ fn crashed_job_is_ledgered_and_alone_in_rerunning() {
     const TOTAL: usize = 6;
     const BAD: usize = 3;
     let ledger = temp_file("crash");
-    let opts = SweepOptions {
-        workers: 3,
-        max_retries: 0,
-        ledger: Some(ledger.clone()),
-        ..SweepOptions::default()
-    };
-    let harness = Harness::<u64>::new().with_codec(u64_codec());
+    let opts = SweepOptions { workers: 3, ledger: Some(ledger.clone()), progress: false };
+    let harness = harness();
 
     let first = harness
         .run(&jobs(TOTAL), &opts, |i| {
@@ -93,7 +83,7 @@ fn crashed_job_is_ledgered_and_alone_in_rerunning() {
         .expect("sweep with injected panic");
     assert_eq!(first.completed, TOTAL - 1, "siblings of the crash all completed");
     assert_eq!(first.crashed, 1);
-    assert!(matches!(first.results[BAD].outcome, JobOutcome::Crashed { .. }));
+    assert!(matches!(first.results[BAD].result, Err(SimError::WorkerPanic { .. })));
 
     // The crash outcome is durable: parse the ledger file directly.
     let text = std::fs::read_to_string(&ledger).unwrap();
@@ -121,80 +111,13 @@ fn crashed_job_is_ledgered_and_alone_in_rerunning() {
     std::fs::remove_file(&ledger).unwrap();
 }
 
-/// The telemetry stream narrates the whole lifecycle, including
-/// resumed jobs and retries, as parseable JSON Lines.
-#[test]
-fn event_stream_narrates_resume_and_retry() {
-    let ledger = temp_file("ev-ledger");
-    let events = temp_file("ev-stream");
-    let harness = Harness::<u64>::new().with_codec(u64_codec()).with_metric(|v| *v);
-    let base = SweepOptions {
-        workers: 2,
-        max_retries: 1,
-        ledger: Some(ledger.clone()),
-        events: Some(events.clone()),
-        ..SweepOptions::default()
-    };
-
-    // First run: job 1 panics once, then succeeds on retry.
-    let flaky_calls = AtomicU32::new(0);
-    let first = harness
-        .run(&jobs(3), &base, |i| {
-            if i == 1 && flaky_calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient fault");
-            }
-            Ok(1000 + i as u64)
-        })
-        .expect("first sweep");
-    assert!(first.is_all_completed());
-    assert_eq!(first.results[1].attempts, 2);
-
-    // Second run resumes everything.
-    harness.run(&jobs(3), &base, |i| Ok(1000 + i as u64)).expect("resumed sweep");
-
-    let text = std::fs::read_to_string(&events).unwrap();
-    let parsed: Vec<Json> =
-        text.lines().map(|l| json::parse(l).expect("event line parses")).collect();
-    let kind = |v: &Json| v.get("event").unwrap().as_str().unwrap().to_string();
-    let count = |k: &str| parsed.iter().filter(|v| kind(v) == k).count();
-
-    assert_eq!(count("sweep-start"), 2);
-    assert_eq!(count("sweep-end"), 2);
-    assert_eq!(count("job-start"), 3, "three executions in run one, zero in run two");
-    assert_eq!(count("job-end"), 3);
-    assert_eq!(count("job-retry"), 1);
-    assert_eq!(count("job-resumed"), 3, "run two resumed all three jobs");
-
-    // job-end events carry the metric and its rate.
-    for v in parsed.iter().filter(|v| kind(v) == "job-end") {
-        assert_eq!(v.get("outcome").unwrap().as_str(), Some("completed"));
-        let metric = v.get("metric").unwrap().as_u64().unwrap();
-        assert!((1000..=1002).contains(&metric));
-        assert!(v.get("metric_per_s").unwrap().as_f64().is_some());
-        assert!(v.get("queue_depth").unwrap().as_u64().is_some());
-        assert!(v.get("busy_workers").unwrap().as_u64().is_some());
-    }
-    // The second sweep-end records 3 resumed / 0 executed.
-    let last_end = parsed.iter().rev().find(|v| kind(v) == "sweep-end").unwrap();
-    assert_eq!(last_end.get("resumed").unwrap().as_u64(), Some(3));
-    assert_eq!(last_end.get("executed").unwrap().as_u64(), Some(0));
-
-    std::fs::remove_file(&ledger).unwrap();
-    std::fs::remove_file(&events).unwrap();
-}
-
 /// Spec hashes — not names — key the ledger: renaming a job does not
 /// skip it, and an identical spec under a new name resumes.
 #[test]
 fn resume_keys_on_spec_hash_not_name() {
     let ledger = temp_file("hashkey");
-    let opts = SweepOptions {
-        workers: 1,
-        max_retries: 0,
-        ledger: Some(ledger.clone()),
-        ..SweepOptions::default()
-    };
-    let harness = Harness::<u64>::new().with_codec(u64_codec());
+    let opts = SweepOptions { workers: 1, ledger: Some(ledger.clone()), progress: false };
+    let harness = harness();
 
     harness.run(&[JobSpec::new("old-name", 0x1234)], &opts, |_| Ok(7)).expect("seed run");
 
@@ -207,7 +130,7 @@ fn resume_keys_on_spec_hash_not_name() {
         })
         .expect("renamed run");
     assert_eq!(executed.load(Ordering::SeqCst), 0);
-    assert_eq!(report.results[0].payload, Some(7), "payload comes from the ledger");
+    assert_eq!(report.results[0].result, Ok(7), "payload comes from the ledger");
 
     // Different hash, same name: runs.
     let report = harness
@@ -217,6 +140,6 @@ fn resume_keys_on_spec_hash_not_name() {
         })
         .expect("changed-spec run");
     assert_eq!(executed.load(Ordering::SeqCst), 1);
-    assert_eq!(report.results[0].payload, Some(8));
+    assert_eq!(report.results[0].result, Ok(8));
     std::fs::remove_file(&ledger).unwrap();
 }

@@ -13,7 +13,7 @@
 //! * [`runner`] — parameter sweeps across benchmarks, schemes, memory
 //!   technologies, and hardware sizes, orchestrated by
 //!   `proteus-harness` (worker pool, per-experiment panic isolation,
-//!   resume ledger, telemetry events);
+//!   resume ledger);
 //! * [`persist`] — the JSON codec that lets the resume ledger carry
 //!   full run summaries across process restarts;
 //! * [`report`] — tabular output matching the paper's figure layouts.
@@ -42,8 +42,5 @@ pub mod runner;
 pub mod system;
 
 pub use proteus_harness::SweepOptions;
-pub use runner::{
-    run_many, run_many_report, run_many_with, run_one, run_workload_traced, ExperimentResult,
-    ExperimentSpec,
-};
+pub use runner::{run_one, run_workload_traced, ExperimentResult, ExperimentSpec};
 pub use system::System;

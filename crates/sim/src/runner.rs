@@ -1,27 +1,25 @@
-//! Experiment runner: single runs and harness-orchestrated sweeps.
+//! Experiment runner: single runs and harness-orchestrated scheme
+//! sweeps.
 //!
 //! Sweeps run through [`proteus_harness`]: a worker pool with panic
 //! isolation (one crashing experiment is recorded, its siblings
-//! finish), an optional resume ledger keyed by each spec's stable
-//! structural hash, and an optional telemetry event stream. The
-//! convenience entry points ([`run_many`], [`sweep_schemes`]) keep
-//! their all-or-nothing contract — the first failure comes back as a
-//! typed [`SimError`], including [`SimError::WorkerPanic`] for caught
-//! panics — while the `*_report` / `*_with` variants expose per-job
-//! outcomes and harness options.
+//! finish) and an optional resume ledger keyed by each spec's stable
+//! structural hash. [`sweep_schemes`] and [`sweep_schemes_with`] are
+//! all-or-nothing: the first failure in input order comes back as a
+//! typed [`SimError`], including [`SimError::WorkerPanic`] for a caught
+//! panic. [`experiment_harness`] runs arbitrary spec lists and reports
+//! every job's outcome.
 
 use crate::persist;
 use crate::system::System;
-use proteus_harness::{Harness, JobSpec, PayloadCodec, SweepOptions, SweepReport};
+use proteus_harness::{Harness, JobSpec, PayloadCodec, SweepOptions};
 use proteus_trace::TraceReport;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig, TraceConfig};
 use proteus_types::stats::RunSummary;
-use proteus_types::{
-    stable_hash_value, FieldHasher, JobOutcome, SimError, StableHash, StableHasher,
-};
+use proteus_types::{stable_hash_value, FieldHasher, SimError, StableHash, StableHasher};
 use proteus_workgen::WorkloadSel;
 use proteus_workloads::{GeneratedWorkload, WorkloadParams};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// One experiment: a workload under a scheme on a configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,15 +76,13 @@ pub struct ExperimentResult {
     pub summary: RunSummary,
 }
 
-/// The ledger codec for experiment results.
-pub fn experiment_codec() -> PayloadCodec<ExperimentResult> {
-    PayloadCodec { encode: persist::result_to_json, decode: persist::result_from_json }
-}
-
-/// A harness configured for experiment sweeps: ledger codec plus the
-/// simulated-cycles progress metric.
+/// A harness configured for experiment sweeps: the ledger codec for
+/// experiment results plus the simulated-cycles progress metric.
 pub fn experiment_harness() -> Harness<ExperimentResult> {
-    Harness::new().with_codec(experiment_codec()).with_metric(|r| r.summary.total_cycles)
+    Harness::new(
+        PayloadCodec { encode: persist::result_to_json, decode: persist::result_from_json },
+        |r| r.summary.total_cycles,
+    )
 }
 
 /// Runs a single experiment, generating the workload internally.
@@ -128,98 +124,6 @@ pub fn run_workload_traced(
     let summary = system.run()?;
     let report = system.take_trace_report();
     Ok((ExperimentResult { name: spec.display_name(), summary }, report))
-}
-
-/// Shared sweep core: runs `run_job` for each spec through the harness,
-/// capturing typed errors on the side (the harness itself carries only
-/// rendered messages).
-fn sweep_jobs<F>(
-    specs: &[ExperimentSpec],
-    opts: &SweepOptions,
-    run_job: F,
-) -> Result<(SweepReport<ExperimentResult>, Vec<Option<SimError>>), SimError>
-where
-    F: Fn(usize) -> Result<ExperimentResult, SimError> + Sync,
-{
-    let jobs: Vec<JobSpec> = specs.iter().map(ExperimentSpec::job).collect();
-    let typed_errors: Mutex<Vec<Option<SimError>>> = Mutex::new(vec![None; specs.len()]);
-    let report = experiment_harness().run(&jobs, opts, |i| {
-        run_job(i).map_err(|e| {
-            let rendered = e.to_string();
-            typed_errors.lock().expect("error cell lock")[i] = Some(e);
-            rendered
-        })
-    })?;
-    let typed_errors = typed_errors.into_inner().expect("error cell lock");
-    Ok((report, typed_errors))
-}
-
-/// Converts an outcome-rich report into the all-or-nothing contract:
-/// the payloads in input order, or the first failure as a typed error.
-fn all_or_first_error(
-    report: SweepReport<ExperimentResult>,
-    mut typed_errors: Vec<Option<SimError>>,
-) -> Result<Vec<ExperimentResult>, SimError> {
-    for (i, r) in report.results.iter().enumerate() {
-        match &r.outcome {
-            JobOutcome::Completed => {}
-            JobOutcome::Failed { error } => {
-                return Err(typed_errors[i].take().unwrap_or_else(|| {
-                    SimError::HarnessIo(format!("job '{}' failed: {error}", r.name))
-                }));
-            }
-            JobOutcome::Crashed { panic } => {
-                return Err(SimError::WorkerPanic { job: r.name.clone(), message: panic.clone() });
-            }
-        }
-    }
-    Ok(report
-        .results
-        .into_iter()
-        .map(|r| r.payload.expect("completed job carries a payload"))
-        .collect())
-}
-
-/// Runs `specs` in parallel across host threads (one workload
-/// generation per spec), preserving input order in the output.
-///
-/// # Errors
-///
-/// Returns the first error in input order; a panicking experiment
-/// surfaces as [`SimError::WorkerPanic`] after its siblings finish.
-pub fn run_many(specs: &[ExperimentSpec]) -> Result<Vec<ExperimentResult>, SimError> {
-    run_many_with(specs, &SweepOptions::default())
-}
-
-/// [`run_many`] with explicit harness options (worker count, resume
-/// ledger, event stream, retries, progress).
-///
-/// # Errors
-///
-/// As [`run_many`], plus [`SimError::HarnessIo`] for ledger or event
-/// stream failures.
-pub fn run_many_with(
-    specs: &[ExperimentSpec],
-    opts: &SweepOptions,
-) -> Result<Vec<ExperimentResult>, SimError> {
-    let (report, typed_errors) = sweep_jobs(specs, opts, |i| run_one(&specs[i]))?;
-    all_or_first_error(report, typed_errors)
-}
-
-/// Runs `specs` and reports every job's outcome instead of stopping at
-/// the first failure: crashed or failed experiments appear as their
-/// [`JobOutcome`] alongside completed siblings.
-///
-/// # Errors
-///
-/// Only infrastructure failures ([`SimError::HarnessIo`]); job
-/// failures are in the report.
-pub fn run_many_report(
-    specs: &[ExperimentSpec],
-    opts: &SweepOptions,
-) -> Result<SweepReport<ExperimentResult>, SimError> {
-    let (report, _) = sweep_jobs(specs, opts, |i| run_one(&specs[i]))?;
-    Ok(report)
 }
 
 /// A benchmark's results across all schemes, with paper-style derived
@@ -275,7 +179,9 @@ impl SchemeSweep {
 ///
 /// # Errors
 ///
-/// Returns the first simulation error.
+/// Returns the first simulation error in scheme order; a panicking
+/// run surfaces as [`SimError::WorkerPanic`] after its siblings
+/// finish.
 pub fn sweep_schemes(
     config: &SystemConfig,
     bench: impl Into<WorkloadSel>,
@@ -293,8 +199,8 @@ pub fn sweep_schemes(
 ///
 /// # Errors
 ///
-/// As [`sweep_schemes`], plus [`SimError::HarnessIo`] for ledger or
-/// event stream failures.
+/// As [`sweep_schemes`], plus [`SimError::HarnessIo`] for ledger
+/// failures.
 pub fn sweep_schemes_with(
     config: &SystemConfig,
     bench: impl Into<WorkloadSel>,
@@ -312,12 +218,14 @@ pub fn sweep_schemes_with(
             params: params.clone(),
         })
         .collect();
+    let jobs: Vec<JobSpec> = specs.iter().map(ExperimentSpec::job).collect();
     let workload: OnceLock<GeneratedWorkload> = OnceLock::new();
-    let (report, typed_errors) = sweep_jobs(&specs, opts, |i| {
-        let w = workload.get_or_init(|| sel.generate(params));
-        run_workload(&specs[i], w)
-    })?;
-    let results = all_or_first_error(report, typed_errors)?;
+    let results = experiment_harness()
+        .run(&jobs, opts, |i| {
+            let w = workload.get_or_init(|| sel.generate(params));
+            run_workload(&specs[i], w)
+        })?
+        .into_payloads()?;
     Ok(SchemeSweep {
         bench: sel.abbrev().to_string(),
         results: schemes
@@ -331,6 +239,7 @@ pub fn sweep_schemes_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_types::JobOutcome;
     use proteus_workloads::Benchmark;
 
     fn tiny_params() -> WorkloadParams {
@@ -355,6 +264,18 @@ mod tests {
         config.caches.l1d.ways = 8;
         assert!(config.validate().is_ok(), "must pass validation to reach the simulator");
         config
+    }
+
+    /// A panicking Queue experiment between two healthy siblings.
+    fn crash_between_siblings() -> Vec<ExperimentSpec> {
+        vec![
+            tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog),
+            ExperimentSpec {
+                config: panic_config(),
+                ..tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog)
+            },
+            tiny_spec(Benchmark::HashMap, LoggingSchemeKind::NoLog),
+        ]
     }
 
     #[test]
@@ -385,13 +306,21 @@ mod tests {
         assert!(sweep.speedup(LoggingSchemeKind::SwPmemPcommit) < 1.0);
     }
 
+    /// Runs `specs` through [`experiment_harness`] with default options,
+    /// one workload generation per spec: the sweep the `run_many_*`
+    /// tests below exercise.
+    fn run_many(specs: &[ExperimentSpec]) -> proteus_harness::SweepReport<ExperimentResult> {
+        let jobs: Vec<JobSpec> = specs.iter().map(ExperimentSpec::job).collect();
+        experiment_harness().run(&jobs, &SweepOptions::default(), |i| run_one(&specs[i])).unwrap()
+    }
+
     #[test]
     fn run_many_preserves_order() {
         let specs: Vec<ExperimentSpec> = [Benchmark::Queue, Benchmark::HashMap]
             .into_iter()
             .map(|bench| tiny_spec(bench, LoggingSchemeKind::NoLog))
             .collect();
-        let results = run_many(&specs).unwrap();
+        let results = run_many(&specs).into_payloads().unwrap();
         assert_eq!(results.len(), 2);
         assert!(results[0].name.starts_with("QE"));
         assert!(results[1].name.starts_with("HM"));
@@ -415,56 +344,42 @@ mod tests {
     /// message, after siblings have completed.
     #[test]
     fn run_many_surfaces_worker_panic_with_message() {
-        let specs = vec![
-            tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog),
-            ExperimentSpec {
-                config: panic_config(),
-                ..tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog)
-            },
-            tiny_spec(Benchmark::HashMap, LoggingSchemeKind::NoLog),
-        ];
-        let err = run_many(&specs).unwrap_err();
-        match err {
-            SimError::WorkerPanic { job, message } => {
+        match run_many(&crash_between_siblings()).into_payloads() {
+            Err(SimError::WorkerPanic { job, message }) => {
                 assert_eq!(job, format!("QE/{}", LoggingSchemeKind::NoLog.label()));
                 assert!(message.contains("power of two"), "panic message lost: {message}");
             }
-            other => panic!("expected WorkerPanic, got {other}"),
+            other => panic!("expected WorkerPanic, got {other:?}"),
         }
     }
 
-    /// The outcome-rich variant completes siblings of a crashed job.
+    /// The report completes the siblings of a crashed job.
     #[test]
     fn run_many_report_isolates_the_crash() {
-        let specs = vec![
-            tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog),
-            ExperimentSpec {
-                config: panic_config(),
-                ..tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog)
-            },
-            tiny_spec(Benchmark::HashMap, LoggingSchemeKind::NoLog),
-        ];
-        let opts = SweepOptions { max_retries: 0, ..SweepOptions::default() };
-        let report = run_many_report(&specs, &opts).unwrap();
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.crashed, 1);
-        assert!(report.results[0].outcome.is_completed());
-        assert!(matches!(report.results[1].outcome, JobOutcome::Crashed { .. }));
-        assert!(report.results[2].outcome.is_completed());
-        assert!(report.results[2].payload.is_some());
+        let report = run_many(&crash_between_siblings());
+        assert_eq!((report.completed, report.crashed), (2, 1));
+        assert!(report.results[0].result.is_ok());
+        assert!(matches!(report.results[1].outcome(), JobOutcome::Crashed { .. }));
+        assert!(report.results[2].result.as_ref().is_ok_and(|r| r.summary.total_cycles > 0));
     }
 
     /// A clean simulator error keeps its typed identity through the
-    /// harness (first-error contract).
+    /// harness, for arbitrary spec lists and for scheme sweeps.
     #[test]
     fn run_many_preserves_typed_errors() {
         let mut bad = tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog);
         bad.config = bad.config.with_num_cores(1); // params want 2 threads
-        let specs = vec![tiny_spec(Benchmark::HashMap, LoggingSchemeKind::NoLog), bad];
-        assert!(matches!(
-            run_many(&specs),
-            Err(SimError::TooManyThreads { requested: 2, available: 1 })
-        ));
+        let report = run_many(&[tiny_spec(Benchmark::HashMap, LoggingSchemeKind::NoLog), bad]);
+        assert_eq!((report.completed, report.failed), (1, 1));
+        let too_many = SimError::TooManyThreads { requested: 2, available: 1 };
+        assert_eq!(report.into_payloads().unwrap_err(), too_many);
+        let sweep = sweep_schemes(
+            &SystemConfig::skylake_like().with_num_cores(1),
+            Benchmark::Queue,
+            &tiny_params(),
+            &[LoggingSchemeKind::NoLog, LoggingSchemeKind::Proteus],
+        );
+        assert_eq!(sweep.unwrap_err(), too_many);
     }
 
     #[test]

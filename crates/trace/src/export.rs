@@ -1,5 +1,5 @@
 //! Exporters: Chrome trace-event JSON (loadable in Perfetto / `chrome://
-//! tracing`) and a JSONL summary in the `proteus-harness` telemetry style.
+//! tracing`) and a self-describing JSONL summary.
 //!
 //! Both are hand-rolled writers — the crate is std-only — emitting only
 //! ASCII field names and numbers, with string values escaped defensively.
@@ -229,9 +229,8 @@ impl TraceReport {
         w.finish(self.sample_interval)
     }
 
-    /// Serialises a compact JSONL summary consumable by the same tooling
-    /// as `proteus-harness` telemetry: every line is a flat JSON object
-    /// with a `v` schema version and an `event` discriminator.
+    /// Serialises a compact JSONL summary: every line is a flat JSON
+    /// object with a `v` schema version and an `event` discriminator.
     pub fn to_jsonl_summary(&self) -> String {
         let mut out = String::new();
         for t in &self.tracks {

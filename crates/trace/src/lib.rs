@@ -20,8 +20,9 @@
 //!   down by which queue the laggard entry waited in.
 //!
 //! Exports: Chrome trace-event JSON (loadable in Perfetto, one track
-//! per core / MC queue / cache level) and a JSONL summary in the same
-//! self-describing style as `proteus-harness` telemetry.
+//! per core / MC queue / cache level) and a self-describing JSONL
+//! summary (one flat object per line, with a schema version and an
+//! `event` discriminator).
 //!
 //! ## Zero cost when disabled
 //!

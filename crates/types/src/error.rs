@@ -47,17 +47,18 @@ pub enum SimError {
         /// Available core count.
         available: usize,
     },
-    /// A harness worker caught a panic inside an experiment job. The
-    /// sweep's sibling jobs completed; this surfaces the first crash to
-    /// callers that asked for an all-or-nothing result.
+    /// A harness job panicked. The worker caught the panic, so the
+    /// sweep's sibling jobs still ran; the crashed job's result carries
+    /// this error, and all-or-nothing sweeps return the first one.
     WorkerPanic {
         /// Human-readable job name (`<bench>/<scheme>/...`).
         job: String,
         /// Panic payload message.
         message: String,
     },
-    /// The experiment harness could not read or write its resume ledger
-    /// or event stream.
+    /// A file could not be read or written: the harness's resume
+    /// ledger, or an artifact a `reproduce` target reads or writes
+    /// (crash repro, op trace, benchmark report).
     HarnessIo(String),
     /// The crash-consistency checker found a recovered image that matches
     /// no transaction boundary of its workload (`proteus-crash`).

@@ -1,10 +1,9 @@
 //! Job outcome vocabulary for the experiment harness.
 //!
 //! One simulation job run by `proteus-harness` ends in exactly one of
-//! these states. The harness records outcomes in its resume ledger and
-//! event stream; `proteus-sim` converts non-completed outcomes back
-//! into [`crate::SimError`] values when a caller asked for an
-//! all-or-nothing sweep.
+//! these states. The harness derives a job's outcome from its result
+//! (payload or [`crate::SimError`]) and records it in its resume
+//! ledger and progress lines.
 
 use std::fmt;
 
@@ -13,16 +12,15 @@ use std::fmt;
 pub enum JobOutcome {
     /// The job ran to completion and produced a result payload.
     Completed,
-    /// The job returned an error (e.g. a [`crate::SimError`]) after
-    /// exhausting its retry budget.
+    /// The job returned an error (a [`crate::SimError`]).
     Failed {
-        /// Rendered error message from the final attempt.
+        /// Rendered error message.
         error: String,
     },
     /// The job panicked; the panic was caught and isolated so sibling
     /// jobs kept running.
     Crashed {
-        /// Panic payload message from the final attempt.
+        /// Panic payload message.
         panic: String,
     },
 }

@@ -261,7 +261,7 @@ fn harness_sweep_runs_explorations_in_parallel() {
     assert!(report.is_all_completed());
     assert_eq!(report.results.len(), 4);
     for r in &report.results {
-        let outcome = r.payload.as_ref().unwrap();
+        let outcome = r.result.as_ref().unwrap();
         assert!(outcome.points_explored > 0);
         assert!(outcome.is_consistent(), "{}: {:?}", r.name, outcome.violations.first());
     }
@@ -282,7 +282,7 @@ fn sweep_resumes_from_its_ledger() {
     assert_eq!(second.executed, 0, "completed exploration must resume from the ledger");
     assert_eq!(second.resumed, 1);
     assert_eq!(
-        second.results[0].payload.as_ref().unwrap(),
-        first.results[0].payload.as_ref().unwrap()
+        second.results[0].result.as_ref().unwrap(),
+        first.results[0].result.as_ref().unwrap()
     );
 }

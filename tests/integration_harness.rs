@@ -4,10 +4,10 @@
 //! only the failed job — the workflow `reproduce --resume` exposes.
 
 use proteus_harness::json::{self, Json};
-use proteus_harness::SweepOptions;
-use proteus_sim::runner::{run_many_report, run_many_with, ExperimentSpec};
+use proteus_harness::{JobSpec, SweepOptions, SweepReport};
+use proteus_sim::runner::{experiment_harness, run_one, ExperimentResult, ExperimentSpec};
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
-use proteus_types::{JobOutcome, SimError};
+use proteus_types::SimError;
 use proteus_workloads::{Benchmark, WorkloadParams};
 use std::path::PathBuf;
 
@@ -39,96 +39,84 @@ fn crashing_spec() -> ExperimentSpec {
     spec
 }
 
+/// One sweep over `specs` through the experiment harness, one workload
+/// generation per spec.
+fn run_many_with(specs: &[ExperimentSpec], opts: &SweepOptions) -> SweepReport<ExperimentResult> {
+    let jobs: Vec<JobSpec> = specs.iter().map(ExperimentSpec::job).collect();
+    experiment_harness().run(&jobs, opts, |i| run_one(&specs[i])).expect("sweep infrastructure")
+}
+
 #[test]
 fn crash_isolated_ledgered_and_resumed() {
     let ledger = temp_file("resume");
-    let events = temp_file("events");
     let specs = vec![
         tiny_spec(Benchmark::Queue, LoggingSchemeKind::Proteus),
         tiny_spec(Benchmark::Queue, LoggingSchemeKind::SwPmem),
         crashing_spec(),
         tiny_spec(Benchmark::HashMap, LoggingSchemeKind::Proteus),
     ];
-    let opts = SweepOptions {
-        workers: 2,
-        max_retries: 0,
-        ledger: Some(ledger.clone()),
-        events: Some(events.clone()),
-        ..SweepOptions::default()
-    };
+    let opts = SweepOptions { workers: 2, ledger: Some(ledger.clone()), progress: false };
 
     // Sweep one: the injected crash must not take down its siblings.
-    let report = run_many_report(&specs, &opts).expect("sweep infrastructure");
+    let report = run_many_with(&specs, &opts);
     assert_eq!(report.completed, 3, "siblings of the crash completed");
     assert_eq!(report.crashed, 1);
-    assert!(matches!(report.results[2].outcome, JobOutcome::Crashed { .. }));
-    let sibling_cycles = report.results[3].payload.as_ref().unwrap().summary.total_cycles;
+    assert!(matches!(report.results[2].result, Err(SimError::WorkerPanic { .. })));
+    let sibling_cycles = report.results[3].result.as_ref().unwrap().summary.total_cycles;
     assert!(sibling_cycles > 0);
 
-    // The crash is durable in the ledger, keyed by the spec hash.
+    // Every outcome is durable in the ledger, keyed by the spec hash;
+    // completed records carry their simulated cycles.
     let text = std::fs::read_to_string(&ledger).unwrap();
-    let crashed: Vec<Json> = text
-        .lines()
-        .map(|l| json::parse(l).expect("ledger line parses"))
-        .filter(|v| v.get("outcome").and_then(Json::as_str) == Some("crashed"))
-        .collect();
+    let records: Vec<Json> =
+        text.lines().map(|l| json::parse(l).expect("ledger line parses")).collect();
+    assert_eq!(records.len(), 4);
+    let outcome = |v: &Json| v.get("outcome").and_then(Json::as_str).unwrap().to_string();
+    let crashed: Vec<&Json> = records.iter().filter(|v| outcome(v) == "crashed").collect();
     assert_eq!(crashed.len(), 1);
     assert_eq!(
         crashed[0].get("spec_hash").and_then(Json::as_str),
         Some(format!("{:016x}", specs[2].spec_hash()).as_str())
     );
     assert!(crashed[0].get("message").and_then(Json::as_str).unwrap().contains("power of two"));
+    for v in records.iter().filter(|v| outcome(v) == "completed") {
+        let cycles = v.get("payload").and_then(|p| p.get("summary")?.get("total_cycles"));
+        assert!(cycles.and_then(Json::as_u64).is_some_and(|c| c > 0), "{}", v.to_line());
+    }
 
     // Sweep two (--resume): fix the config; only the crashed job runs.
     let mut fixed = specs.clone();
     fixed[2] = tiny_spec(Benchmark::StringSwap, LoggingSchemeKind::NoLog);
-    let resumed = run_many_report(&fixed, &opts).expect("resumed sweep");
+    let resumed = run_many_with(&fixed, &opts);
     assert_eq!(resumed.executed, 1, "exactly the failed job re-ran");
     assert_eq!(resumed.resumed, 3);
     assert!(resumed.is_all_completed());
     // Restored results carry real payloads, not placeholders.
-    assert_eq!(resumed.results[3].payload.as_ref().unwrap().summary.total_cycles, sibling_cycles);
-
-    // The event stream narrates both sweeps with per-job metrics.
-    let ev = std::fs::read_to_string(&events).unwrap();
-    let parsed: Vec<Json> = ev.lines().map(|l| json::parse(l).unwrap()).collect();
-    let count = |k: &str| {
-        parsed.iter().filter(|v| v.get("event").and_then(Json::as_str) == Some(k)).count()
-    };
-    assert_eq!(count("sweep-start"), 2);
-    assert_eq!(count("job-end"), 5, "4 executions in sweep one + 1 in sweep two");
-    assert_eq!(count("job-resumed"), 3);
-    let cycles_metrics: Vec<u64> = parsed
-        .iter()
-        .filter(|v| v.get("event").and_then(Json::as_str) == Some("job-end"))
-        .filter(|v| v.get("outcome").and_then(Json::as_str) == Some("completed"))
-        .map(|v| v.get("metric").unwrap().as_u64().unwrap())
-        .collect();
-    assert_eq!(cycles_metrics.len(), 4);
-    assert!(cycles_metrics.iter().all(|&c| c > 0), "completed jobs report simulated cycles");
-
+    assert_eq!(resumed.results[3].result.as_ref().unwrap().summary.total_cycles, sibling_cycles);
     std::fs::remove_file(&ledger).unwrap();
-    std::fs::remove_file(&events).unwrap();
 }
 
-/// The all-or-nothing entry point, driven through a ledger: the first
-/// invocation fails with a typed `WorkerPanic`, the second (after the
-/// fix) resumes the completed jobs and succeeds.
+/// The all-or-nothing conversion, driven through a ledger: the first
+/// invocation fails with a typed `WorkerPanic` carrying the panic
+/// message, the second (after the fix) resumes the completed job and
+/// succeeds.
 #[test]
 fn run_many_with_resume_recovers_from_crash() {
     let ledger = temp_file("allornothing");
     let specs = vec![tiny_spec(Benchmark::Queue, LoggingSchemeKind::NoLog), crashing_spec()];
-    let opts = SweepOptions {
-        workers: 2,
-        max_retries: 0,
-        ledger: Some(ledger.clone()),
-        ..SweepOptions::default()
-    };
-    let err = run_many_with(&specs, &opts).unwrap_err();
-    assert!(matches!(err, SimError::WorkerPanic { .. }), "{err}");
+    let opts = SweepOptions { workers: 2, ledger: Some(ledger.clone()), progress: false };
+    match run_many_with(&specs, &opts).into_payloads() {
+        Err(SimError::WorkerPanic { job, message }) => {
+            assert_eq!(job, specs[1].display_name());
+            assert!(message.contains("power of two"), "{message}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
 
     let fixed = vec![specs[0].clone(), tiny_spec(Benchmark::StringSwap, LoggingSchemeKind::NoLog)];
-    let results = run_many_with(&fixed, &opts).expect("fixed sweep succeeds");
+    let report = run_many_with(&fixed, &opts);
+    assert_eq!((report.resumed, report.executed), (1, 1));
+    let results = report.into_payloads().expect("fixed sweep succeeds");
     assert_eq!(results.len(), 2);
     assert!(results.iter().all(|r| r.summary.total_cycles > 0));
     std::fs::remove_file(&ledger).unwrap();
@@ -140,20 +128,20 @@ fn run_many_with_resume_recovers_from_crash() {
 #[test]
 fn ledger_keys_track_spec_changes() {
     let ledger = temp_file("keys");
-    let opts = SweepOptions { workers: 1, ledger: Some(ledger.clone()), ..SweepOptions::default() };
+    let opts = SweepOptions { workers: 1, ledger: Some(ledger.clone()), progress: false };
     let base = vec![tiny_spec(Benchmark::Queue, LoggingSchemeKind::Proteus)];
-    let first = run_many_report(&base, &opts).unwrap();
+    let first = run_many_with(&base, &opts);
     assert_eq!(first.executed, 1);
 
     // Identical spec: resumed.
-    let again = run_many_report(&base, &opts).unwrap();
+    let again = run_many_with(&base, &opts);
     assert_eq!(again.executed, 0);
     assert_eq!(again.resumed, 1);
 
     // One more sim op: a different experiment, so it runs.
     let mut changed = base.clone();
     changed[0].params.sim_ops += 1;
-    let third = run_many_report(&changed, &opts).unwrap();
+    let third = run_many_with(&changed, &opts);
     assert_eq!(third.executed, 1);
     std::fs::remove_file(&ledger).unwrap();
 }

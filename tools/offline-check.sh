@@ -65,6 +65,33 @@ do_test() {
     }
     run cargo run -q --release -p proteus-bench --bin reproduce -- \
         replay --file "${OUT}/smoke_optrace.jsonl"
+    # Smoke `--resume` end to end: run a small figure twice against one
+    # ledger. The first run must execute jobs (per-job `[harness i/n]`
+    # lines on stderr); the second must execute none and print
+    # byte-identical stdout.
+    local ledger="${OUT}/smoke_resume_ledger.jsonl" pass
+    rm -f "$ledger"
+    echo "+ reproduce fig8 --scale 0.002 --threads 2 --resume ${ledger} (twice)" >&2
+    for pass in 1 2; do
+        cargo run -q --release -p proteus-bench --bin reproduce -- \
+            fig8 --scale 0.002 --threads 2 --resume "$ledger" \
+            >"${OUT}/smoke_resume_${pass}.out" 2>"${OUT}/smoke_resume_${pass}.err" || {
+            cat "${OUT}/smoke_resume_${pass}.err" >&2
+            exit 1
+        }
+    done
+    grep -q '^\[harness [0-9]' "${OUT}/smoke_resume_1.err" || {
+        echo "resume smoke: the first run printed no per-job progress line" >&2
+        exit 1
+    }
+    if grep -q '^\[harness [0-9]' "${OUT}/smoke_resume_2.err"; then
+        echo "resume smoke: the resumed run executed jobs" >&2
+        exit 1
+    fi
+    cmp "${OUT}/smoke_resume_1.out" "${OUT}/smoke_resume_2.out" || {
+        echo "resume smoke: the resumed run printed different stdout" >&2
+        exit 1
+    }
     # Smoke the cycle-level tracer end to end: tracedump exits non-zero
     # unless the trace reconciles (±0) with the RunSummary, the emitted
     # Chrome JSON parses, and every core and MC queue track carries at
