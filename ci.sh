@@ -33,11 +33,11 @@
 #   the crash suite (tests/integration_crash.rs) again under
 #       proteus-sim's paranoid feature: crash exploration stops mid-run
 #       at persist events, where sleeping cores must be settled
-#   one traced pass of the benchmark's busy-hw and crash workloads
-#       (`python3 perfbench/run.py --workload W --seed 0 --seconds 3
-#       --trace 1`), which fails unless the pinned digests match and
-#       the benchmark's own copy of the step loop reproduces
-#       `System::run` on every cell
+#   one traced pass of each of the benchmark's workloads, busy-hw,
+#       idle-sw and crash (`python3 perfbench/run.py --workload W
+#       --seed 0 --seconds 3 --trace 1`), which fails unless the pinned
+#       digests match and the benchmark's own copy of the step loop
+#       reproduces `System::run` on every cell
 #   scheme-registry gates: tools/lint-scheme-dispatch.sh (no per-scheme
 #       dispatch outside crates/core/src/scheme/registry.rs), the
 #       registry completeness suite (every registered scheme

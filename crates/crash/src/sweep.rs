@@ -27,7 +27,8 @@ pub fn sweep(
 ) -> Result<SweepReport<ExploreOutcome>, SimError> {
     let jobs: Vec<JobSpec> = specs.iter().map(|s| JobSpec::new(s.name(), s.spec_hash())).collect();
     let codec = PayloadCodec { encode: encode_outcome, decode: decode_outcome };
-    Harness::new(codec, |o| o.points_explored as u64).run(&jobs, opts, |i| explore(&specs[i]))
+    Harness::new(codec, |o| o.points_explored as u64, "crash points")
+        .run(&jobs, opts, |i| explore(&specs[i]))
 }
 
 fn encode_outcome(o: &ExploreOutcome) -> Json {

@@ -18,7 +18,7 @@ use crate::json::{self, Json};
 use proteus_types::{JobOutcome, SimError};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Ledger file format version, bumped on incompatible record changes.
@@ -150,11 +150,15 @@ impl LedgerSnapshot {
 pub struct LedgerWriter {
     path: PathBuf,
     writer: BufWriter<File>,
+    /// The file ends in a torn line with no newline, which the first
+    /// record must not be joined to.
+    torn_tail: bool,
 }
 
 impl LedgerWriter {
     /// Opens `path` in append mode, creating it (and its parent
-    /// directory) if needed.
+    /// directory) if needed. If a killed run left the file ending in a
+    /// line with no newline, the first record starts a new line.
     ///
     /// # Errors
     ///
@@ -170,10 +174,23 @@ impl LedgerWriter {
                 })?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path).map_err(|e| {
+        let io_error = |e: std::io::Error| {
             SimError::HarnessIo(format!("cannot open ledger {}: {e}", path.display()))
-        })?;
-        Ok(LedgerWriter { path: path.to_path_buf(), writer: BufWriter::new(file) })
+        };
+        let mut file =
+            OpenOptions::new().create(true).read(true).append(true).open(path).map_err(io_error)?;
+        let len = file.metadata().map_err(io_error)?.len();
+        let mut last = [b'\n'];
+        if len > 0 {
+            file.seek(SeekFrom::Start(len - 1))
+                .and_then(|_| file.read_exact(&mut last))
+                .map_err(io_error)?;
+        }
+        Ok(LedgerWriter {
+            path: path.to_path_buf(),
+            writer: BufWriter::new(file),
+            torn_tail: last[0] != b'\n',
+        })
     }
 
     /// Appends one record and flushes it to the OS, so a subsequent
@@ -183,7 +200,10 @@ impl LedgerWriter {
     ///
     /// Returns [`SimError::HarnessIo`] on write failure.
     pub fn record(&mut self, record: &LedgerRecord) -> Result<(), SimError> {
-        let line = record.to_json().to_line();
+        let mut line = record.to_json().to_line();
+        if std::mem::take(&mut self.torn_tail) {
+            line.insert(0, '\n');
+        }
         self.writer
             .write_all(line.as_bytes())
             .and_then(|()| self.writer.write_all(b"\n"))
@@ -285,6 +305,17 @@ mod tests {
         assert_eq!(snap.len(), 2, "only the intact, version-matched records survive");
         assert!(snap.completed(1).is_some());
         assert!(snap.completed(5).is_some(), "lines after a non-UTF-8 line still load");
+        // A resumed run appends after the torn tail: its first record
+        // must start a line of its own.
+        {
+            let mut w = LedgerWriter::append(&path).unwrap();
+            w.record(&sample(9, JobOutcome::Completed)).unwrap();
+            w.record(&sample(10, JobOutcome::Completed)).unwrap();
+        }
+        let snap = LedgerSnapshot::load(&path).unwrap();
+        assert_eq!(snap.len(), 4);
+        assert!(snap.completed(9).is_some(), "the record after the torn tail loads");
+        assert!(snap.completed(10).is_some());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -32,7 +32,7 @@
 //! let codec = PayloadCodec { encode: |v: &u64| Json::U64(*v), decode: Json::as_u64 };
 //! let jobs: Vec<JobSpec> =
 //!     (0..4).map(|i| JobSpec::new(format!("double/{i}"), 0xC0FFEE + i)).collect();
-//! let report = Harness::new(codec, |v| *v)
+//! let report = Harness::new(codec, |v| *v, "doublings")
 //!     .run(&jobs, &SweepOptions::default(), |i| Ok(i as u64 * 2))
 //!     .unwrap();
 //! assert!(report.is_all_completed());

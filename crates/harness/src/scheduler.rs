@@ -125,6 +125,8 @@ pub struct SweepReport<T> {
     pub crashed: usize,
     /// Sum of the progress metric over executed completed jobs.
     pub total_metric: u64,
+    /// What the progress metric counts, as rates name it ("sim-cycles").
+    pub metric_unit: &'static str,
     /// Sum of per-job wall seconds over executed jobs (for worker
     /// utilisation: `busy_seconds / (workers * wall_seconds)`).
     pub busy_seconds: f64,
@@ -177,8 +179,9 @@ impl<T> SweepReport<T> {
         }
         if self.total_metric > 0 && self.wall_seconds > 0.0 {
             line.push_str(&format!(
-                ", {} sim-cycles/s",
-                human_rate(self.total_metric as f64 / self.wall_seconds)
+                ", {} {}/s",
+                human_rate(self.total_metric as f64 / self.wall_seconds),
+                self.metric_unit
             ));
         }
         line
@@ -189,14 +192,16 @@ impl<T> SweepReport<T> {
 pub struct Harness<T> {
     codec: PayloadCodec<T>,
     metric: fn(&T) -> u64,
+    unit: &'static str,
 }
 
 impl<T> Harness<T> {
     /// A harness that checkpoints payloads through `codec` and reports
-    /// progress as `metric` of each completed payload (simulated cycles
-    /// for experiment jobs).
-    pub fn new(codec: PayloadCodec<T>, metric: fn(&T) -> u64) -> Harness<T> {
-        Harness { codec, metric }
+    /// progress as `metric` of each completed payload, a count of
+    /// `unit` ("sim-cycles" for experiment sweeps, "crash points" for
+    /// crash sweeps).
+    pub fn new(codec: PayloadCodec<T>, metric: fn(&T) -> u64, unit: &'static str) -> Harness<T> {
+        Harness { codec, metric, unit }
     }
 }
 
@@ -307,7 +312,7 @@ impl<T: Send> Harness<T> {
                 busy_seconds += wall_seconds;
                 if opts.progress {
                     let rate = if wall_seconds > 0.0 && metric > 0 {
-                        format!(", {} sim-cycles/s", human_rate(metric as f64 / wall_seconds))
+                        format!(", {} {}/s", human_rate(metric as f64 / wall_seconds), self.unit)
                     } else {
                         String::new()
                     };
@@ -348,6 +353,7 @@ impl<T: Send> Harness<T> {
             completed,
             crashed,
             total_metric,
+            metric_unit: self.unit,
             busy_seconds,
         };
         if opts.progress {
@@ -383,7 +389,11 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn harness() -> Harness<u64> {
-        Harness::new(PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 }, |v| *v)
+        Harness::new(
+            PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 },
+            |v| *v,
+            "sim-cycles",
+        )
     }
 
     fn jobs(n: usize) -> Vec<JobSpec> {
@@ -564,6 +574,24 @@ mod tests {
         assert_eq!((report.executed, report.resumed), (0, 1));
         assert_eq!(report.results[0].result, Ok(42));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Rates name the unit each caller gives its metric: a crash
+    /// sweep's metric is points explored, not simulated cycles.
+    #[test]
+    fn summary_line_names_the_metric_unit() {
+        for unit in ["sim-cycles", "crash points"] {
+            let codec = PayloadCodec { encode: |v: &u64| Json::U64(*v), decode: Json::as_u64 };
+            let mut report =
+                Harness::new(codec, |v| *v, unit).run(&jobs(2), &quiet(1), |_| Ok(1000)).unwrap();
+            assert_eq!((report.total_metric, report.metric_unit), (2000, unit));
+            report.wall_seconds = 2.0;
+            assert!(
+                report.summary_line().ends_with(&format!(", 1.00k {unit}/s")),
+                "{}",
+                report.summary_line()
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,11 @@ fn temp_file(tag: &str) -> PathBuf {
 }
 
 fn harness() -> Harness<u64> {
-    Harness::new(PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 }, |v| *v)
+    Harness::new(
+        PayloadCodec { encode: |v| Json::U64(*v), decode: Json::as_u64 },
+        |v| *v,
+        "sim-cycles",
+    )
 }
 
 fn jobs(n: usize) -> Vec<JobSpec> {

@@ -54,9 +54,33 @@ enum WriteKind {
     LogInvalidate,
 }
 
+/// Where a queued line lives in the bank array. Computed once, when the
+/// entry is queued: a queued entry's line never changes (coalescing and
+/// marker stamps rewrite only its data), so the arbiter and the probe
+/// read this instead of dividing the line into a bank on every edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    bank: usize,
+    row: u64,
+}
+
+impl Loc {
+    fn of(map: &BankMap, line: LineAddr) -> Loc {
+        Loc { bank: map.bank_of(line), row: map.row_of(line) }
+    }
+
+    /// This cached location of `line`, checked against the map in debug
+    /// builds.
+    fn checked(self, map: &BankMap, line: LineAddr) -> Loc {
+        debug_assert_eq!(self, Loc::of(map, line), "stale cached bank/row of {line:?}");
+        self
+    }
+}
+
 #[derive(Debug, Clone)]
 struct WpqEntry {
     line: LineAddr,
+    loc: Loc,
     data: LineData,
     kind: WriteKind,
     in_service: bool,
@@ -69,11 +93,20 @@ impl WpqEntry {
     fn coalescable(&self) -> bool {
         self.kind == WriteKind::Data && !self.in_service
     }
+
+    /// Whether the arbiter may issue this entry under the WPQ rule
+    /// `drain`. Log-kind entries (ATOM entries, truncation writes, SW
+    /// log write-backs) drain regardless of the watermark: ATOM's log
+    /// lives in NVMM, not in the controller.
+    fn issuable(&self, drain: bool) -> bool {
+        !self.in_service && (drain || self.kind != WriteKind::Data)
+    }
 }
 
 #[derive(Debug, Clone)]
 struct LpqEntry {
     slot_line: LineAddr,
+    loc: Loc,
     words: [u64; 8],
     core: CoreId,
     tx: TxId,
@@ -85,11 +118,55 @@ struct LpqEntry {
     in_service: bool,
 }
 
+impl LpqEntry {
+    /// Whether the arbiter may issue this entry under the LPQ rule
+    /// `drain`. Forced entries (context switch) always drain; retained
+    /// commit markers never do.
+    fn issuable(&self, drain: bool) -> bool {
+        !self.in_service && !self.retained_marker && (drain || self.must_drain)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ReadEntry {
     line: LineAddr,
+    loc: Loc,
     req_id: u64,
     arrived: Cycle,
+    /// Issued to its bank; the entry leaves the queue when the read
+    /// completes.
+    dispatched: bool,
+}
+
+/// What the arbiter may drain at a memory-clock edge, computed from the
+/// state at that edge by [`MemoryController::drain_rules`]. The arbiter
+/// and the fast-forward probe both take it from there, so they cannot
+/// disagree.
+#[derive(Debug, Clone, Copy)]
+struct DrainRules {
+    /// The WPQ watermark hysteresis state the edge leaves behind.
+    wpq_draining: bool,
+    /// Whether data-kind WPQ entries may issue.
+    wpq: bool,
+    mode: LogDrainMode,
+    /// LPQ occupancy at or above its pressure threshold.
+    lpq_pressure: bool,
+}
+
+impl DrainRules {
+    /// Whether every LPQ entry may issue, not only forced ones, given
+    /// whether any WPQ entry is issuable.
+    fn lpq(&self, wpq_has_issuable: bool) -> bool {
+        match self.mode {
+            LogDrainMode::KeepUntilCommit => self.lpq_pressure,
+            // NoLWR: log entries drain like ordinary writes. They already
+            // sit at the lowest arbiter priority (after reads and WPQ),
+            // so no further gating — gating on an idle read queue starves
+            // the LPQ under multicore read traffic and backpressures
+            // dispatch, which the paper's NoLWR does not exhibit.
+            LogDrainMode::DrainAlways => !wpq_has_issuable,
+        }
+    }
 }
 
 /// Last log entry observed per core, used to guarantee commit-marker
@@ -504,55 +581,63 @@ impl MemoryController {
     /// currently eligible. Exact while the queues are frozen: eligibility
     /// only changes through the per-cycle phases (which wake the engine)
     /// or through command issue itself (which happens no earlier than the
-    /// returned edge).
+    /// returned edge). A candidate whose bank is free by `next_mem_tick`
+    /// ends the scan: no answer can be earlier.
     fn next_issue_boundary(&self) -> Option<Cycle> {
+        let floor = self.next_mem_tick;
         let mut best: Option<Cycle> = None;
-        let consider = |busy_until: Cycle, best: &mut Option<Cycle>| {
-            *best = Some(best.map_or(busy_until, |b: Cycle| b.min(busy_until)));
+        let mut consider = |loc: Loc| {
+            let busy_until = self.banks[loc.bank].busy_until();
+            best = Some(best.map_or(busy_until, |b: Cycle| b.min(busy_until)));
+            busy_until <= floor
         };
         // 1. Reads not yet dispatched to a bank.
-        for r in self.read_queue.iter().filter(|r| {
-            !self
-                .in_flight
-                .iter()
-                .any(|(_, f)| matches!(f, InFlight::Read { req_id } if *req_id == r.req_id))
-        }) {
-            consider(self.banks[self.map.bank_of(r.line)].busy_until(), &mut best);
+        for r in self.read_queue.iter().filter(|r| !r.dispatched) {
+            if consider(r.loc.checked(&self.map, r.line)) {
+                return Some(floor);
+            }
         }
-        // 2. WPQ entries, under the hysteresis state the next arbiter
-        // call will compute from the current occupancy.
+        // 2. WPQ and 3. LPQ entries, under the rules the next arbiter
+        // call will compute from the current state.
+        let rules = self.drain_rules();
+        let mut wpq_has_issuable = false;
+        for e in self.wpq.iter().filter(|e| e.issuable(rules.wpq)) {
+            wpq_has_issuable = true;
+            if consider(e.loc.checked(&self.map, e.line)) {
+                return Some(floor);
+            }
+        }
+        let drain_lpq = rules.lpq(wpq_has_issuable);
+        for e in self.lpq.iter().filter(|e| e.issuable(drain_lpq)) {
+            if consider(e.loc.checked(&self.map, e.slot_line)) {
+                return Some(floor);
+            }
+        }
+        best.map(|b| Self::edge_of(Self::mem_tick_at_or_after(b).max(self.mem_ticks)))
+    }
+
+    /// The drain rules the arbiter applies at the next memory-clock edge,
+    /// from the current occupancy and the WPQ hysteresis state.
+    fn drain_rules(&self) -> DrainRules {
         let occ_pct = 100 * self.wpq.len() / self.cfg.wpq_entries.max(1);
-        let draining = if occ_pct >= self.cfg.wpq_high_watermark_pct as usize {
+        let low = self.cfg.wpq_low_watermark_pct as usize;
+        let wpq_draining = if occ_pct >= self.cfg.wpq_high_watermark_pct as usize {
             true
-        } else if occ_pct <= self.cfg.wpq_low_watermark_pct as usize {
+        } else if occ_pct <= low {
             false
         } else {
             self.wpq_draining
         };
-        let drain_wpq = draining
+        // Always drain during a pending pcommit. Otherwise drain
+        // opportunistically only once the queue holds a meaningful batch
+        // (above the low watermark): with ADR there is no urgency, and
+        // leaving small residues buffered is what gives ATOM's tracker
+        // its clearing window.
+        let wpq = wpq_draining
             || !self.pending_pcommits.is_empty()
-            || (self.read_queue.is_empty() && occ_pct > self.cfg.wpq_low_watermark_pct as usize);
-        let mut wpq_has_eligible = false;
-        for e in
-            self.wpq.iter().filter(|e| !e.in_service && (drain_wpq || e.kind != WriteKind::Data))
-        {
-            wpq_has_eligible = true;
-            consider(self.banks[self.map.bank_of(e.line)].busy_until(), &mut best);
-        }
-        // 3. LPQ entries under the log-drain policy.
-        let lpq_occ_pct = 100 * self.lpq.len() / self.cfg.lpq_entries.max(1);
-        let drain_lpq = match self.drain_mode {
-            LogDrainMode::KeepUntilCommit => lpq_occ_pct >= 90,
-            LogDrainMode::DrainAlways => !wpq_has_eligible,
-        };
-        for e in self
-            .lpq
-            .iter()
-            .filter(|e| !e.in_service && !e.retained_marker && (drain_lpq || e.must_drain))
-        {
-            consider(self.banks[self.map.bank_of(e.slot_line)].busy_until(), &mut best);
-        }
-        best.map(|b| Self::edge_of(Self::mem_tick_at_or_after(b).max(self.mem_ticks)))
+            || (self.read_queue.is_empty() && occ_pct > low);
+        let lpq_pressure = 100 * self.lpq.len() / self.cfg.lpq_entries.max(1) >= 90;
+        DrainRules { wpq_draining, wpq, mode: self.drain_mode, lpq_pressure }
     }
 
     /// Hashes the externally observable simulation state — not stats, not
@@ -707,7 +792,13 @@ impl MemoryController {
                     self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::ReadQ });
                     return Err(McRequest::Read { line, req_id });
                 }
-                self.read_queue.push(ReadEntry { line, req_id, arrived: now });
+                self.read_queue.push(ReadEntry {
+                    line,
+                    loc: Loc::of(&self.map, line),
+                    req_id,
+                    arrived: now,
+                    dispatched: false,
+                });
                 self.tracer.emit(
                     now,
                     TraceEventKind::Enqueue {
@@ -747,6 +838,7 @@ impl MemoryController {
                 let seq = words[7];
                 self.lpq.push(LpqEntry {
                     slot_line: slot.line(),
+                    loc: Loc::of(&self.map, slot.line()),
                     words,
                     core,
                     tx,
@@ -866,7 +958,13 @@ impl MemoryController {
         if self.wpq.len() >= self.cfg.wpq_entries {
             return false;
         }
-        self.wpq.push(WpqEntry { line, data, kind, in_service: false });
+        self.wpq.push(WpqEntry {
+            line,
+            loc: Loc::of(&self.map, line),
+            data,
+            kind,
+            in_service: false,
+        });
         if kind == WriteKind::Data {
             self.wpq_coalescable.insert(line);
         }
@@ -1089,7 +1187,7 @@ impl MemoryController {
                     let line = self
                         .read_queue
                         .iter()
-                        .position(|r| r.req_id == req_id)
+                        .position(|r| r.dispatched && r.req_id == req_id)
                         .map(|pos| self.read_queue.remove(pos))
                         .expect("read completion without queue entry");
                     let waited = now.saturating_sub(line.arrived);
@@ -1156,111 +1254,53 @@ impl MemoryController {
 
     /// Issues at most one bank command per memory-clock edge:
     /// reads first, then WPQ writes under the watermark policy, then LPQ
-    /// drains under the log policy.
+    /// drains under the log policy (see [`MemoryController::drain_rules`]).
     fn schedule_command(&mut self, now: Cycle) {
-        // 1. Oldest read whose bank is idle.
-        let in_service: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter_map(|(_, f)| match f {
-                InFlight::Read { req_id } => Some(*req_id),
-                _ => None,
-            })
-            .collect();
-        if let Some(r) = self
-            .read_queue
-            .iter()
-            .filter(|r| !in_service.contains(&r.req_id))
-            .find(|r| self.banks[self.map.bank_of(r.line)].is_idle(now))
-            .map(|r| (r.line, r.req_id))
-        {
-            let bank = self.map.bank_of(r.0);
-            let row = self.map.row_of(r.0);
-            let done = self.banks[bank].start_read(row, now, &self.timing);
+        // 1. Oldest undispatched read whose bank is idle.
+        if let Some(r) = self.read_queue.iter_mut().find(|r| {
+            !r.dispatched && self.banks[r.loc.checked(&self.map, r.line).bank].is_idle(now)
+        }) {
+            r.dispatched = true;
+            let done = self.banks[r.loc.bank].start_read(r.loc.row, now, &self.timing);
             self.stats.nvmm_reads += 1;
-            self.in_flight.push((done, InFlight::Read { req_id: r.1 }));
+            self.in_flight.push((done, InFlight::Read { req_id: r.req_id }));
             return;
         }
 
-        // 2. WPQ drain under watermark hysteresis (always drain during a
-        // pending pcommit or when the controller is otherwise idle).
-        let occ_pct = 100 * self.wpq.len() / self.cfg.wpq_entries.max(1);
-        if occ_pct >= self.cfg.wpq_high_watermark_pct as usize {
-            self.wpq_draining = true;
-        } else if occ_pct <= self.cfg.wpq_low_watermark_pct as usize {
-            self.wpq_draining = false;
-        }
-        // Opportunistic draining only once the queue holds a meaningful
-        // batch (above the low watermark): with ADR there is no urgency,
-        // and leaving small residues buffered is what gives ATOM's
-        // tracker its clearing window.
-        let drain_wpq = self.wpq_draining
-            || !self.pending_pcommits.is_empty()
-            || (self.read_queue.is_empty() && occ_pct > self.cfg.wpq_low_watermark_pct as usize);
-        {
-            // Log-kind entries (ATOM entries, truncation writes, SW log
-            // write-backs) drain regardless of the watermark: ATOM's log
-            // lives in NVMM, not in the controller.
-            if let Some((line, bank, row)) = self
-                .wpq
-                .iter()
-                .filter(|e| !e.in_service && (drain_wpq || e.kind != WriteKind::Data))
-                .map(|e| (e.line, self.map.bank_of(e.line), self.map.row_of(e.line)))
-                .find(|(_, bank, _)| self.banks[*bank].is_idle(now))
-            {
-                let done = self.banks[bank].start_write(row, now, &self.timing);
-                if let Some(e) = self.wpq.iter_mut().find(|e| e.line == line && !e.in_service) {
-                    e.in_service = true;
-                    if e.kind == WriteKind::Data {
-                        self.wpq_coalescable.remove(&e.line);
-                    }
-                }
-                self.in_flight.push((done, InFlight::WpqWrite { index_line: line }));
-                return;
+        // 2. Oldest issuable WPQ entry whose bank is idle. The same pass
+        // learns whether any WPQ entry is issuable, which the LPQ rule
+        // needs.
+        let rules = self.drain_rules();
+        self.wpq_draining = rules.wpq_draining;
+        let mut wpq_has_issuable = false;
+        let mut pick = None;
+        for (i, e) in self.wpq.iter().enumerate().filter(|(_, e)| e.issuable(rules.wpq)) {
+            wpq_has_issuable = true;
+            if self.banks[e.loc.checked(&self.map, e.line).bank].is_idle(now) {
+                pick = Some(i);
+                break;
             }
+        }
+        if let Some(i) = pick {
+            let e = &mut self.wpq[i];
+            e.in_service = true;
+            if e.kind == WriteKind::Data {
+                self.wpq_coalescable.remove(&e.line);
+            }
+            let done = self.banks[e.loc.bank].start_write(e.loc.row, now, &self.timing);
+            self.in_flight.push((done, InFlight::WpqWrite { index_line: e.line }));
+            return;
         }
 
-        // 3. LPQ drain: only under pressure (KeepUntilCommit) or under the
-        // same opportunistic policy as the WPQ (DrainAlways). Forced
-        // entries (context switch) always drain.
-        let lpq_occ_pct = 100 * self.lpq.len() / self.cfg.lpq_entries.max(1);
-        let wpq_has_eligible =
-            self.wpq.iter().any(|e| !e.in_service && (drain_wpq || e.kind != WriteKind::Data));
-        let drain_lpq = match self.drain_mode {
-            LogDrainMode::KeepUntilCommit => lpq_occ_pct >= 90,
-            // NoLWR: log entries drain like ordinary writes. They already
-            // sit at the lowest arbiter priority (after reads and WPQ),
-            // so no further gating — gating on an idle read queue starves
-            // the LPQ under multicore read traffic and backpressures
-            // dispatch, which the paper's NoLWR does not exhibit.
-            LogDrainMode::DrainAlways => !wpq_has_eligible,
-        };
-        let forced = self.lpq.iter().any(|e| e.must_drain && !e.in_service);
-        if drain_lpq || forced {
-            if let Some((line, seq, bank, row)) = self
-                .lpq
-                .iter()
-                .filter(|e| !e.in_service && !e.retained_marker && (drain_lpq || e.must_drain))
-                .map(|e| {
-                    (
-                        e.slot_line,
-                        e.seq,
-                        self.map.bank_of(e.slot_line),
-                        self.map.row_of(e.slot_line),
-                    )
-                })
-                .find(|(_, _, bank, _)| self.banks[*bank].is_idle(now))
-            {
-                let done = self.banks[bank].start_write(row, now, &self.timing);
-                if let Some(e) = self
-                    .lpq
-                    .iter_mut()
-                    .find(|e| e.slot_line == line && e.seq == seq && !e.in_service)
-                {
-                    e.in_service = true;
-                }
-                self.in_flight.push((done, InFlight::LpqWrite { index_line: line, seq }));
-            }
+        // 3. Oldest issuable LPQ entry whose bank is idle.
+        let drain_lpq = rules.lpq(wpq_has_issuable);
+        if let Some(e) = self.lpq.iter_mut().find(|e| {
+            e.issuable(drain_lpq)
+                && self.banks[e.loc.checked(&self.map, e.slot_line).bank].is_idle(now)
+        }) {
+            e.in_service = true;
+            let done = self.banks[e.loc.bank].start_write(e.loc.row, now, &self.timing);
+            self.in_flight.push((done, InFlight::LpqWrite { index_line: e.slot_line, seq: e.seq }));
         }
     }
 }

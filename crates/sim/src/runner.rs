@@ -82,6 +82,7 @@ pub fn experiment_harness() -> Harness<ExperimentResult> {
     Harness::new(
         PayloadCodec { encode: persist::result_to_json, decode: persist::result_from_json },
         |r| r.summary.total_cycles,
+        "sim-cycles",
     )
 }
 

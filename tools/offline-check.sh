@@ -27,11 +27,13 @@ do_test() {
     run cargo test -q -p proteus-sim --features paranoid --test integration_fastforward
     run cargo test -q -p proteus-crash --features proteus-sim/paranoid --test integration_crash
     # Smoke the benchmark (perfbench/, its own workspace) with one
-    # traced pass of the busy and crash workloads: each exits non-zero
-    # unless the pinned digests match and the benchmark's own copy of
-    # the step loop, which ticks the components without `System`'s skip
-    # path, reproduces `System::run`'s RunSummary cell for cell.
-    for w in busy-hw crash; do
+    # traced pass of each workload: each exits non-zero unless the
+    # pinned digests match and the benchmark's own copy of the step
+    # loop, which ticks the components without `System`'s skip path,
+    # reproduces `System::run`'s RunSummary cell for cell. idle-sw's
+    # pcommit drains are the benchmark's only path through the
+    # controller's pending-pcommit drain rule.
+    for w in busy-hw idle-sw crash; do
         run env CARGO_TARGET_DIR="${OUT}/perfbench" python3 perfbench/run.py \
             --workload "$w" --seed 0 --seconds 3 --trace 1
     done
