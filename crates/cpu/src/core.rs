@@ -35,7 +35,7 @@ use proteus_types::addr::{LineAddr, LogGrainAddr};
 use proteus_types::clock::Cycle;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
 use proteus_types::stats::{CoreStats, StallCause};
-use proteus_types::{Addr, CoreId, FastMap, FastSet, ThreadId, TxId};
+use proteus_types::{Addr, CoreId, FastMap, FastSet, SimError, ThreadId, TxId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -235,6 +235,9 @@ pub struct Core {
     lock_acquires: u64,
     stats: CoreStats,
     done_at: Option<Cycle>,
+    /// The exception that stopped the core early (§4.1's log-area
+    /// overflow), which `System::run` returns.
+    fault: Option<SimError>,
 
     tracer: Tracer,
     tx_path: Option<TxPath>,
@@ -306,6 +309,7 @@ impl Core {
             lock_acquires: 0,
             stats: CoreStats::new(),
             done_at: None,
+            fault: None,
             tracer: Tracer::disabled(),
             tx_path: None,
         }
@@ -342,6 +346,13 @@ impl Core {
     /// Whether the trace has fully drained through the machine.
     pub fn is_done(&self) -> bool {
         self.done_at.is_some()
+    }
+
+    /// The exception that stopped the core before its trace ended, if
+    /// one did: a transaction that overflowed its log area (§4.1). Such a
+    /// core counts as done.
+    pub fn fault(&self) -> Option<&SimError> {
+        self.fault.as_ref()
     }
 
     /// Collected statistics (valid once done, but readable any time).
@@ -1326,8 +1337,16 @@ impl Core {
                         return Err(StallCause::LogQFull);
                     }
                     let tx = self.current_tx.expect("logging inside a transaction");
-                    let (slot, entry_seq) =
-                        self.logarea.alloc().expect("log area sized for workload");
+                    let (slot, entry_seq) = match self.logarea.alloc() {
+                        Ok(slot) => slot,
+                        Err(overflow) => {
+                            // §4.1: the processor raises an exception. The
+                            // core stops here, and `System::run` returns it.
+                            self.fault = Some(overflow);
+                            self.done_at = Some(now);
+                            return Err(StallCause::LogQFull);
+                        }
+                    };
                     let id = self.logq.alloc(grain, slot);
                     self.flush_meta.insert(id, (lr, entry_seq, tx));
                     self.tracer.emit(

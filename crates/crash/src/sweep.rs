@@ -73,7 +73,7 @@ mod tests {
     use proteus_types::config::LoggingSchemeKind;
     use proteus_workloads::{Benchmark, WorkloadParams};
 
-    /// A crashed exploration's panic message — not a generic "did not
+    /// A failed exploration's own error — not a generic "did not
     /// complete" — is what an all-or-nothing caller gets back, after
     /// its sibling completed.
     #[test]
@@ -81,22 +81,19 @@ mod tests {
         let params = |init_ops| WorkloadParams { threads: 1, init_ops, sim_ops: 1, seed: 3 };
         let ok = ExploreSpec::new(Benchmark::Queue, params(20), LoggingSchemeKind::Proteus, 4);
         // One transaction updating 64 Ki elements overflows the
-        // 4 Ki-entry log area, which the core treats as a sizing bug
-        // and panics on.
+        // 4 Ki-entry log area: the core raises §4.1's exception, and the
+        // job fails with it.
         let overflow = ExploreSpec::new(
             Benchmark::LargeTx { elements: 1 << 16 },
             params(1),
             LoggingSchemeKind::Proteus,
             4,
         );
-        let report = sweep(&[ok, overflow.clone()], &SweepOptions::default()).unwrap();
-        assert_eq!((report.completed, report.crashed), (1, 1));
+        let report = sweep(&[ok, overflow], &SweepOptions::default()).unwrap();
+        assert_eq!((report.completed, report.failed, report.crashed), (1, 1, 0));
         match report.into_payloads() {
-            Err(SimError::WorkerPanic { job, message }) => {
-                assert_eq!(job, overflow.name());
-                assert!(message.contains("LogAreaOverflow"), "{message}");
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
+            Err(SimError::LogAreaOverflow { capacity, .. }) => assert_eq!(capacity, 4096),
+            other => panic!("expected LogAreaOverflow, got {other:?}"),
         }
     }
 

@@ -19,6 +19,7 @@
 
 pub mod bank;
 pub mod controller;
+mod intake;
 pub mod persist_event;
 pub mod request;
 pub mod timing;

@@ -495,7 +495,9 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if the runaway guard trips.
+    /// Returns [`SimError::InvalidConfig`] if the runaway guard trips,
+    /// and [`SimError::LogAreaOverflow`] if a transaction overflowed its
+    /// log area (§4.1: the core raises an exception and stops).
     pub fn run(&mut self) -> Result<RunSummary, SimError> {
         while !self.is_done() {
             if self.now >= self.max_cycles {
@@ -505,6 +507,9 @@ impl System {
                 )));
             }
             self.advance(self.max_cycles);
+        }
+        if let Some(fault) = self.cores.iter().find_map(Core::fault) {
+            return Err(fault.clone());
         }
         Ok(self.summary())
     }
