@@ -21,9 +21,11 @@
 #       regenerating from the trace header), a resume round trip
 #       (`reproduce fig8 --scale 0.002 --threads 2 --resume LEDGER`
 #       twice: the second run must execute no job and print
-#       byte-identical stdout), a tracedump run
+#       byte-identical stdout), a `reproduce trace --file` run
 #       (self-validating: trace must reconcile with the RunSummary and
-#       the Chrome JSON must parse with all tracks populated), and a
+#       the Chrome JSON must parse with all tracks populated), a golden
+#       round trip (`reproduce golden --file`, then `cmp` against
+#       crates/bench/tests/golden/fig6_seed_schemes.jsonl), and a
 #       `reproduce bench` run timing the cycle engine with
 #       fast-forwarding on and off (fails on any output divergence)
 #   the engine determinism suite twice: once normally and once with

@@ -61,27 +61,36 @@ impl ExperimentScale {
 }
 
 /// Everything an experiment needs beyond its own definition: workload
-/// scale plus the harness orchestration knobs (`--jobs` and `--resume`
-/// in the `reproduce` binary).
+/// scale, the harness orchestration knobs (`--jobs` and `--resume` in
+/// the `reproduce` binary), and the selections of the single-cell and
+/// artifact targets.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentCtx {
     /// Workload scale/threads knobs.
     pub scale: ExperimentScale,
     /// Harness options threaded into every scheme sweep.
     pub opts: SweepOptions,
-    /// Artifact path for `crashsweep`/`crashrepro`/`gen`/`replay`
-    /// (`--file`).
+    /// Artifact path (`--file`): the repro of `crashsweep`,
+    /// `contention` and `crashrepro`, the report of `bench`, the op
+    /// trace of `gen` and `replay`, the Chrome JSON of `trace`, and the
+    /// output of `golden`.
     pub file: Option<std::path::PathBuf>,
-    /// Workload CLI name for `gen` (`--workload`), resolved through the
-    /// workgen roster.
-    pub workload: Option<String>,
+    /// Roster workload for `gen`, `replay` and `trace` (`--workload`);
+    /// `None` takes the target's default.
+    pub workload: Option<&'static roster::WorkloadDescriptor>,
+    /// Schemes for `trace` (`--scheme`); empty takes its default, ATOM
+    /// and Proteus.
+    pub schemes: Vec<LoggingSchemeKind>,
+    /// Crash point for `trace` (`--crash-at`), in percent of each
+    /// scheme's run.
+    pub crash_at: Option<u64>,
 }
 
 impl ExperimentCtx {
     /// Context with default orchestration (auto workers, no ledger, no
     /// progress lines).
     pub fn from_scale(scale: ExperimentScale) -> Self {
-        ExperimentCtx { scale, opts: SweepOptions::default(), file: None, workload: None }
+        ExperimentCtx { scale, ..ExperimentCtx::default() }
     }
 }
 
@@ -617,29 +626,47 @@ pub fn ablation_llt(ctx: &ExperimentCtx) -> Result<String, SimError> {
     Ok(format!("Ablation: Proteus speedup vs LLT size\n{}", table.render()))
 }
 
-/// Observability deep-dive behind Fig. 7: a traced Proteus-vs-ATOM run
-/// on the Queue benchmark, reporting the per-transaction persist
-/// critical path and the queue-occupancy distributions the end-of-run
-/// aggregates can only hint at. Every trace is cross-checked (±0)
-/// against the authoritative `RunSummary` before it is printed.
+/// The one-cell deep dive behind Fig. 7: runs the `--workload` cell
+/// (default QE) under each `--scheme` (default ATOM, then Proteus) with
+/// cycle-level tracing. Per scheme it prints the `RunSummary`
+/// breakdown (uops, IPC, stall cycles by cause, NVMM reads and writes,
+/// L3 hit rate), the per-transaction persist critical path, and the
+/// queue-occupancy distributions the end-of-run aggregates can only
+/// hint at. Every trace is cross-checked (±0) against the
+/// authoritative `RunSummary` before it is printed.
+///
+/// With `--file`, which `reproduce` accepts only with one scheme, it
+/// also writes the Chrome trace-event JSON (loadable in Perfetto or
+/// `chrome://tracing`) and checks the artifact: it parses, and every
+/// core track and memory-controller queue track carries at least one
+/// event. With `--crash-at PCT`, it re-runs each cell to PCT% of its
+/// cycles, pulls the plug, and prints every thread's valid log entries
+/// and recovery decision.
 ///
 /// # Errors
 ///
-/// Propagates simulation errors; a trace that disagrees with the run
-/// summary surfaces as [`SimError::ConsistencyViolation`].
+/// Propagates simulation and recovery errors; a trace that disagrees
+/// with the run summary, or a Chrome JSON that fails its checks,
+/// surfaces as [`SimError::ConsistencyViolation`].
 pub fn trace(ctx: &ExperimentCtx) -> Result<String, SimError> {
     use proteus_sim::runner::{run_workload_traced, ExperimentSpec};
     use proteus_types::TraceConfig;
 
-    let bench = Benchmark::Queue;
-    let params = ctx.scale.params(bench);
-    let workload = proteus_workloads::generate(bench, &params);
-    let mut out = String::from("Trace: persist critical path and queue occupancy (QE)\n");
-    for scheme in [LoggingSchemeKind::Atom, LoggingSchemeKind::Proteus] {
+    let d = workload_or(ctx, "qe");
+    let schemes = match ctx.schemes.as_slice() {
+        [] => vec![LoggingSchemeKind::Atom, LoggingSchemeKind::Proteus],
+        chosen => chosen.to_vec(),
+    };
+    let params = d.params(ctx.scale.threads, ctx.scale.scale);
+    // Contended rows run at least two threads: give each one a core.
+    let config = ExperimentScale { threads: params.threads, ..ctx.scale }.config();
+    let workload = d.sel().generate(&params);
+    let mut out = format!("Trace: persist critical path and queue occupancy ({})\n", d.label());
+    for scheme in schemes {
         let spec = ExperimentSpec {
-            config: ctx.scale.config(),
+            config: config.clone(),
             scheme,
-            bench: bench.into(),
+            bench: d.sel(),
             params: params.clone(),
         };
         let (result, report) = run_workload_traced(&spec, &workload, &TraceConfig::enabled())?;
@@ -652,8 +679,135 @@ pub fn trace(ctx: &ExperimentCtx) -> Result<String, SimError> {
             report.total_events(),
             report.total_dropped()
         ));
+        out.push_str(&summary_breakdown(&result.summary));
         out.push_str(&report.critical_path_table(10));
         out.push_str(&report.occupancy_table());
+        if let Some(path) = &ctx.file {
+            out.push_str(&write_chrome_trace(&report, path, workload.programs.len())?);
+        }
+        if let Some(pct) = ctx.crash_at {
+            let total = result.summary.total_cycles;
+            out.push_str(&crash_dump(&spec, &workload, &result.name, total, pct)?);
+        }
+    }
+    Ok(out)
+}
+
+/// The `RunSummary` breakdown under a trace header: uops, IPC, NVMM
+/// reads and writes, the L3 hit rate, and stall cycles by cause.
+fn summary_breakdown(s: &proteus_types::stats::RunSummary) -> String {
+    use proteus_types::stats::StallCause;
+
+    let m = s.cores_merged();
+    // A degenerate run can finish in 0 recorded cycles.
+    let ipc = if s.total_cycles == 0 { 0.0 } else { m.uops_retired as f64 / s.total_cycles as f64 };
+    let l3 = s.l3.hit_rate_pct().map_or_else(|| "-".to_string(), |p| format!("{p:.1}%"));
+    let stalls: Vec<String> =
+        StallCause::ALL.iter().map(|c| format!("{c}={}", m.stall(*c))).collect();
+    format!(
+        "uops={} ipc={ipc:.2} nvmm_reads={} nvmm_writes={} l3_hit={l3}\n\
+         stall cycles={}: {}\n",
+        m.uops_retired,
+        s.mem.nvmm_reads,
+        s.mem.total_nvmm_writes(),
+        m.total_stall_cycles(),
+        stalls.join(" ")
+    )
+}
+
+/// Writes `report`'s Chrome trace-event JSON to `path` and checks the
+/// artifact: it parses, and each of the `cores` core tracks and every
+/// memory-controller queue track carries at least one event.
+fn write_chrome_trace(
+    report: &proteus_trace::TraceReport,
+    path: &std::path::Path,
+    cores: usize,
+) -> Result<String, SimError> {
+    use proteus_harness::json::{self, Json};
+    use proteus_trace::export::{PID_CORES, PID_MC};
+    use proteus_trace::QueueId;
+
+    let chrome = report.to_chrome_json();
+    std::fs::write(path, &chrome)
+        .map_err(|e| SimError::HarnessIo(format!("cannot write {}: {e}", path.display())))?;
+    let parsed = json::parse(&chrome).map_err(|e| {
+        SimError::ConsistencyViolation(format!("emitted Chrome JSON does not parse: {e}"))
+    })?;
+    // (pid, tid) of every track with an event other than "M" metadata.
+    let populated: std::collections::BTreeSet<(u64, u64)> = parsed
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) != Some("M"))
+        .filter_map(|ev| Some((ev.get("pid")?.as_u64()?, ev.get("tid")?.as_u64()?)))
+        .collect();
+    let mut missing: Vec<String> = (0..cores as u64)
+        .filter(|&core| !populated.contains(&(u64::from(PID_CORES), core)))
+        .map(|core| format!("core{core}"))
+        .collect();
+    missing.extend(
+        [QueueId::ReadQ, QueueId::Wpq, QueueId::Lpq]
+            .into_iter()
+            .filter(|q| !populated.contains(&(u64::from(PID_MC), q.slot() as u64)))
+            .map(|q| format!("mc.{}", q.label())),
+    );
+    if !missing.is_empty() {
+        return Err(SimError::ConsistencyViolation(format!(
+            "trace JSON is missing events on tracks: {}",
+            missing.join(", ")
+        )));
+    }
+    Ok(format!("\nwrote {} ({} bytes), all tracks populated\n", path.display(), chrome.len()))
+}
+
+/// Re-runs `spec` to `pct`% of its `total` cycles, pulls the plug, and
+/// prints every thread's valid log entries in the NVMM/ADR domain (the
+/// first 40 of each), its `logFlag`, and the recovery decision per
+/// thread.
+fn crash_dump(
+    spec: &proteus_sim::runner::ExperimentSpec,
+    workload: &proteus_workloads::GeneratedWorkload,
+    name: &str,
+    total: u64,
+    pct: u64,
+) -> Result<String, SimError> {
+    use proteus_core::recovery::scan_log_area;
+    use std::fmt::Write as _;
+
+    const SHOWN: usize = 40;
+    let mut machine = proteus_sim::System::new(&spec.config, spec.scheme, workload)?;
+    machine.run_until(total * pct / 100);
+    let mut out = String::new();
+    let _ =
+        writeln!(out, "\n=== {name} crashed at cycle {} of {total} ({pct}%) ===", machine.now());
+    let image = machine.crash_image();
+    let layout = machine.layout();
+    for thread in workload.programs.iter().map(|p| p.thread) {
+        let entries = scan_log_area(&image, layout, thread, layout.log_area_entries);
+        let _ = writeln!(out, "\n{thread}: {} valid log entries in NVMM/ADR domain", entries.len());
+        let live_tx = entries.iter().map(|(_, e)| e.tx).max();
+        for (slot, e) in entries.iter().take(SHOWN) {
+            let _ = writeln!(
+                out,
+                "  slot {slot}  {}  seq {:>6}  from {}  data[0]={:#x}{}{}",
+                e.tx,
+                e.seq,
+                e.log_from,
+                e.data[0],
+                if e.commit_marker { "  [commit-marker]" } else { "" },
+                if Some(e.tx) == live_tx { "  <- live" } else { "" },
+            );
+        }
+        if entries.len() > SHOWN {
+            let _ = writeln!(out, "  ... {} more", entries.len() - SHOWN);
+        }
+        let _ = writeln!(out, "  logFlag = {}", image.read_word(layout.log_flag(thread)));
+    }
+    let (_, report) = machine.crash_and_recover()?;
+    out.push_str("\n=== recovery decisions ===\n");
+    for (thread, outcome) in &report.outcomes {
+        let _ = writeln!(out, "  {thread}: {outcome:?}");
     }
     Ok(out)
 }
@@ -1024,10 +1178,12 @@ pub fn crashrepro(ctx: &ExperimentCtx) -> Result<String, SimError> {
     ))
 }
 
-/// The workload roster: every registered workload (Table 2 rows and
-/// generated presets) with its roster memberships and the op counts it
-/// runs at this scale. `gen` accepts any `name` column via
-/// `--workload`.
+/// Both registries. The workload roster: every registered workload
+/// (Table 2 rows, generated presets and contended rows) with its kind,
+/// its roster memberships and the op counts it runs at this scale;
+/// `gen`, `replay` and `trace` accept any `name` via `--workload`. The
+/// scheme table: every registered scheme with its report label and
+/// roles; `trace` accepts any `name` via `--scheme`.
 ///
 /// # Errors
 ///
@@ -1036,42 +1192,69 @@ pub fn workloads(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let mut t = Table::new(["name", "kind", "rosters", "#InitOps", "#SimOps", "description"]);
     for d in roster::all() {
         let p = d.params(ctx.scale.threads, ctx.scale.scale);
-        let mut memberships = vec!["figures"];
-        if d.crash_roster {
-            memberships.push("crash");
-        }
-        if d.bench_basket {
-            memberships.push("bench");
-        }
-        if !d.table2 {
-            memberships.remove(0);
-        }
+        let (kind, rosters) = workload_roles(d);
         t.row([
             d.cli_name.to_string(),
-            if d.table2 { "table2" } else { "preset" }.to_string(),
-            if memberships.is_empty() { "-".to_string() } else { memberships.join("+") },
+            kind.to_string(),
+            rosters,
             p.init_ops.to_string(),
             p.sim_ops.to_string(),
             d.blurb.to_string(),
         ]);
     }
+    let mut schemes = Table::new(["name", "label", "roles", "description"]);
+    for d in registry::all() {
+        let roles = tags(&[
+            (d.baseline, "baseline"),
+            (d.failure_safe, "safe"),
+            (d.crash_sweep, "crash"),
+            (d.bench_basket, "bench"),
+        ]);
+        schemes.row([d.cli_name, d.label, roles.as_str(), d.blurb]);
+    }
     Ok(format!(
-        "Workload roster (scale {:.2}, {} threads) — run one with: reproduce gen --workload NAME\n{}",
+        "Workload roster (scale {:.2}, {} threads) — run one with: reproduce gen --workload NAME\n\
+         {}\nScheme registry — trace one with: reproduce trace --scheme NAME[,NAME...]\n{}",
         ctx.scale.scale,
         ctx.scale.threads,
-        t.render()
+        t.render(),
+        schemes.render()
     ))
 }
 
-/// Resolves `--workload` through the roster, defaulting to `ycsb-a`.
-fn resolve_workload(ctx: &ExperimentCtx) -> Result<&'static roster::WorkloadDescriptor, SimError> {
-    let name = ctx.workload.as_deref().unwrap_or("ycsb-a");
-    roster::by_cli_name(name).ok_or_else(|| {
-        let names: Vec<&str> = roster::all().iter().map(|d| d.cli_name).collect();
-        SimError::InvalidConfig(format!(
-            "unknown workload '{name}'; registered workloads: {}",
-            names.join(", ")
-        ))
+/// A workload's kind and roster memberships, both read from its
+/// descriptor's flags.
+fn workload_roles(d: &roster::WorkloadDescriptor) -> (&'static str, String) {
+    let kind = if d.table2 {
+        "table2"
+    } else if d.contended {
+        "contended"
+    } else {
+        "preset"
+    };
+    let rosters = tags(&[
+        (d.table2, "figures"),
+        (d.crash_roster, "crash"),
+        (d.bench_basket, "bench"),
+        (d.contended, "contention"),
+    ]);
+    (kind, rosters)
+}
+
+/// The names whose flags are set, joined by `+`; `-` when none is.
+fn tags(flags: &[(bool, &str)]) -> String {
+    let set: Vec<&str> = flags.iter().filter(|(on, _)| *on).map(|(_, name)| *name).collect();
+    if set.is_empty() {
+        "-".to_string()
+    } else {
+        set.join("+")
+    }
+}
+
+/// The `--workload` selection, or the roster row named `default`.
+fn workload_or(ctx: &ExperimentCtx, default: &str) -> &'static roster::WorkloadDescriptor {
+    ctx.workload.unwrap_or_else(|| {
+        roster::by_cli_name(default).expect("default workloads are on the roster")
     })
 }
 
@@ -1081,10 +1264,10 @@ fn resolve_workload(ctx: &ExperimentCtx) -> Result<&'static roster::WorkloadDesc
 ///
 /// # Errors
 ///
-/// Fails on an unknown workload name, an invalid spec, simulation
-/// errors, or an unwritable trace path.
+/// Fails on an invalid spec, simulation errors, or an unwritable trace
+/// path.
 pub fn gen(ctx: &ExperimentCtx) -> Result<String, SimError> {
-    let d = resolve_workload(ctx)?;
+    let d = workload_or(ctx, "ycsb-a");
     let sel = d.sel();
     sel.validate()?;
     let params = d.params(ctx.scale.threads, ctx.scale.scale);
@@ -1142,7 +1325,7 @@ pub fn replay(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let (path, provenance) = match &ctx.file {
         Some(p) => (p.clone(), String::new()),
         None => {
-            let d = resolve_workload(ctx)?;
+            let d = workload_or(ctx, "ycsb-a");
             let params = d.params(ctx.scale.threads, ctx.scale.scale);
             let (_, trace) = proteus_workgen::record(&d.sel(), &params)?;
             let mut p = std::env::temp_dir();
@@ -1202,6 +1385,37 @@ pub fn replay(ctx: &ExperimentCtx) -> Result<String, SimError> {
     ))
 }
 
+/// Regenerates the scheme golden (`crate::golden`): one line per
+/// (Table 2 benchmark, seed scheme) cell with its spec hashes and
+/// `RunSummary`s, always at the pin's fixed scales, whatever `--scale`
+/// and `--threads` say. Writes to `--file` (default: a fixed path under
+/// the system temp directory, never the committed golden), so a
+/// regeneration is checked with `cmp` against
+/// `crates/bench/tests/golden/fig6_seed_schemes.jsonl`.
+///
+/// # Errors
+///
+/// Fails on simulation errors or an unwritable output path.
+pub fn golden(ctx: &ExperimentCtx) -> Result<String, SimError> {
+    let (full, tiny) = (crate::golden::full_scale(), crate::golden::tiny_scale());
+    let lines = crate::golden::golden_lines(&full, &tiny, &ctx.opts)?;
+    let path =
+        ctx.file.clone().unwrap_or_else(|| std::env::temp_dir().join("proteus_golden.jsonl"));
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(&path, text)
+        .map_err(|e| SimError::HarnessIo(format!("cannot write {}: {e}", path.display())))?;
+    Ok(format!(
+        "Golden: {} cells (Table 2 x seed schemes; scale {} on {} threads, tiny scale {} on {}) \
+         written to {}",
+        lines.len(),
+        full.scale,
+        full.threads,
+        tiny.scale,
+        tiny.threads,
+        path.display()
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1254,6 +1468,49 @@ mod tests {
         let after = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(after, text, "a fully resumed figure runs and records nothing");
+    }
+
+    /// `trace` explains one cell: the `RunSummary` breakdown, a Chrome
+    /// JSON that passes its own checks, and a crash dump ending in every
+    /// thread's recovery decision.
+    #[test]
+    fn trace_writes_a_checked_chrome_json_and_dumps_a_crash() {
+        let path =
+            std::env::temp_dir().join(format!("proteus-bench-trace-{}.json", std::process::id()));
+        let mut ctx = tiny();
+        ctx.workload = roster::by_cli_name("rt");
+        ctx.schemes = vec![LoggingSchemeKind::Proteus];
+        ctx.file = Some(path.clone());
+        ctx.crash_at = Some(50);
+        let out = trace(&ctx).unwrap();
+        let chrome = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(json::parse(&chrome).is_ok());
+        assert!(out.contains("\n== RT/Proteus ("), "{out}");
+        assert!(out.contains("\nstall cycles="), "{out}");
+        assert!(out.contains("all tracks populated"), "{out}");
+        let decisions = out.split_once("=== recovery decisions ===\n").expect("a crash dump").1;
+        assert_eq!(decisions.lines().count(), 2, "one decision per thread:\n{out}");
+    }
+
+    /// The listing reads each workload's kind and rosters from its
+    /// descriptor flags, and lists every registered scheme.
+    #[test]
+    fn workloads_lists_both_registries_by_their_flags() {
+        let out = workloads(&tiny()).unwrap();
+        let cells = |name: &str| -> Vec<String> {
+            let line = out.lines().find(|l| l.split_whitespace().next() == Some(name));
+            let line = line.unwrap_or_else(|| panic!("no {name} row:\n{out}"));
+            line.split_whitespace().map(String::from).collect()
+        };
+        for name in ["mq", "ch", "lb"] {
+            assert_eq!(cells(name)[1..3], ["contended", "bench+contention"], "{name}");
+        }
+        assert_eq!(cells("qe")[1..3], ["table2", "figures+crash+bench"]);
+        assert_eq!(cells("ycsb-b")[1..3], ["preset", "-"]);
+        for d in registry::all() {
+            assert_eq!(cells(d.cli_name)[1], d.label);
+        }
     }
 
     /// Identical contexts regenerate identical reports: the derived

@@ -6,7 +6,6 @@
 //! corresponding experiment and returns a formatted report; the
 //! `reproduce` binary prints them.
 
-pub mod cli;
 pub mod experiments;
 pub mod golden;
 

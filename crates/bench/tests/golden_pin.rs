@@ -1,6 +1,7 @@
 //! Byte-identity pin for the six seed schemes against the committed
-//! golden (`tests/golden/fig6_seed_schemes.jsonl`, captured by the
-//! `schemegolden` bin before the scheme registry refactor landed).
+//! golden (`tests/golden/fig6_seed_schemes.jsonl`, first captured
+//! before the scheme registry refactor landed; `reproduce golden`
+//! regenerates it).
 //!
 //! Two layers of pinning:
 //!
@@ -14,8 +15,7 @@
 //! the golden enumerates the seed schemes explicitly, and spec hashes
 //! derive from each scheme's stable label, not the enum shape.
 
-use proteus_bench::experiments::ExperimentScale;
-use proteus_bench::golden::fig6_cell_spec;
+use proteus_bench::golden::{fig6_cell_spec, full_scale, seed_schemes, tiny_scale, SEED_LABELS};
 use proteus_core::scheme::registry;
 use proteus_harness::json;
 use proteus_sim::persist::summary_to_json;
@@ -25,13 +25,6 @@ use proteus_workloads::Benchmark;
 use std::collections::BTreeSet;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig6_seed_schemes.jsonl");
-
-/// The roster the golden was captured with: every scheme that existed
-/// before the registry refactor. InCLL (and any future scheme) is
-/// deliberately absent — the pin proves the seed schemes kept their
-/// exact behaviour, not that new schemes match anything.
-const SEED_LABELS: [&str; 6] =
-    ["PMEM", "PMEM+pcommit", "ATOM", "Proteus+NoLWR", "Proteus", "PMEM+nolog"];
 
 struct Cell {
     bench: Benchmark,
@@ -66,14 +59,6 @@ fn load_golden() -> Vec<Cell> {
             }
         })
         .collect()
-}
-
-fn full_scale() -> ExperimentScale {
-    ExperimentScale { scale: 0.05, threads: 4 }
-}
-
-fn tiny_scale() -> ExperimentScale {
-    ExperimentScale { scale: 0.02, threads: 2 }
 }
 
 /// The golden must cover exactly (Table 2 benchmarks) x (seed
@@ -164,8 +149,7 @@ fn single_owner_runs_report_zero_coherence_activity() {
 fn seed_scheme_tiny_summaries_are_byte_identical() {
     let cells = load_golden();
     let tiny = tiny_scale();
-    let schemes: Vec<LoggingSchemeKind> =
-        SEED_LABELS.iter().map(|l| registry::by_label(l).expect("seed label").kind).collect();
+    let schemes = seed_schemes();
     for bench in Benchmark::TABLE2 {
         let sweep = sweep_schemes(
             &tiny.config().with_mem_tech(MemTech::NvmFast),

@@ -11,7 +11,6 @@
 use proteus_bench::experiments::ExperimentScale;
 use proteus_core::scheme::registry;
 use proteus_crash::{explore, ExploreSpec};
-use proteus_sim::persist::{scheme_from_label, scheme_to_json};
 use proteus_sim::System;
 use proteus_types::config::LoggingSchemeKind;
 use proteus_workloads::{generate, Benchmark, WorkloadParams};
@@ -31,11 +30,10 @@ fn registry_enumerates_the_enum_exactly() {
 #[test]
 fn every_scheme_round_trips_label_and_cli_name() {
     for d in registry::all() {
-        assert_eq!(scheme_from_label(scheme_to_json(d.kind).as_str().unwrap()), Some(d.kind));
         assert_eq!(registry::by_label(d.label).map(|r| r.kind), Some(d.kind));
         assert_eq!(registry::by_cli_name(d.cli_name).map(|r| r.kind), Some(d.kind));
     }
-    assert_eq!(scheme_from_label("NotAScheme"), None);
+    assert!(registry::by_label("NotAScheme").is_none());
     assert!(registry::by_cli_name("not-a-scheme").is_none());
 }
 

@@ -386,15 +386,6 @@ impl CacheSystem {
         self.l3.peek_data(line)
     }
 
-    /// Pre-loads a line as clean into the shared L3 (warm-up).
-    pub fn preload_l3(&mut self, line: LineAddr, data: LineData, writebacks: &mut Vec<Writeback>) {
-        if let Some(ev) = self.l3_insert(line, data, false) {
-            if ev.dirty {
-                writebacks.push((ev.line, ev.data));
-            }
-        }
-    }
-
     /// Feeds `tracer` a periodic cumulative hit/miss sample per level.
     /// The (relatively expensive) cross-core aggregation only runs on
     /// cycles where a sample is actually due.

@@ -84,14 +84,6 @@ impl RecoveryReport {
             })
             .sum()
     }
-
-    /// Threads whose transactions were rolled back.
-    pub fn rolled_back(&self) -> impl Iterator<Item = (ThreadId, TxId)> + '_ {
-        self.outcomes.iter().filter_map(|(t, o)| match o {
-            ThreadOutcome::RolledBack { tx, .. } => Some((*t, *tx)),
-            _ => None,
-        })
-    }
 }
 
 /// Runs crash recovery over `image` for every thread in `threads`.

@@ -89,7 +89,7 @@ pub struct SchemeDescriptor {
     pub kind: LoggingSchemeKind,
     /// Report label — must equal `kind.label()` (tested).
     pub label: &'static str,
-    /// Short lowercase name for CLI selectors (`logdump --scheme`).
+    /// Short lowercase name for CLI selectors (`reproduce trace --scheme`).
     pub cli_name: &'static str,
     /// One-line description for docs and scheme tables.
     pub blurb: &'static str,

@@ -1726,26 +1726,6 @@ impl Core {
         assert_eq!(self.llt.clock(), llt_clock, "core {core}: cycle {now} LLT retries miscredited");
     }
 
-    /// One-line state snapshot for debugging stuck machines. Test-only.
-    #[doc(hidden)]
-    pub fn debug_dump(&self) -> String {
-        format!(
-            "pc={}/{} next_uop={:?} rob_head={:?} storeq={:?} clwbs={} fence={} logq={} \
-             atom_acks={} mshr={:?} done={:?}",
-            self.pc,
-            self.trace.uops.len(),
-            self.trace.uops.get(self.pc),
-            self.rob.front().map(|e| (e.uop, e.completed, format!("{:?}", e.state))),
-            self.storeq.iter().map(|s| (s.addr, s.value, s.retired)).collect::<Vec<_>>(),
-            self.pending_clwbs.len(),
-            self.fence_active,
-            self.logq.len(),
-            self.atom_acks_outstanding,
-            self.mshr.keys().collect::<Vec<_>>(),
-            self.done_at,
-        )
-    }
-
     /// Hashes the externally observable simulation state — not stats, not
     /// trace bookkeeping. Used by the paranoid engine cross-check to
     /// prove skipped windows were genuinely quiescent.

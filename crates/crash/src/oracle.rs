@@ -92,11 +92,6 @@ impl ConsistencyOracle {
         &self.threads
     }
 
-    /// The boundary states for thread index `t` (initial state first).
-    pub fn boundary_states(&self, t: usize) -> &[WordImage] {
-        &self.snapshots[t]
-    }
-
     /// Checks a recovered image: every thread's arena must equal one of
     /// its boundary states. Addresses outside all arenas (log areas,
     /// flags, other metadata) are ignored — they may legitimately hold

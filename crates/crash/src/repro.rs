@@ -16,8 +16,8 @@
 
 use crate::explore::{explore, ExploreSpec, ViolationPoint};
 use crate::fault::FaultSpec;
+use proteus_core::scheme::registry;
 use proteus_harness::{json, Json};
-use proteus_sim::persist::scheme_from_label;
 use proteus_types::SimError;
 use proteus_workgen::codec::{params_from_json, params_to_json, sel_from_json, sel_to_json};
 use proteus_workloads::WorkloadParams;
@@ -245,7 +245,7 @@ pub fn explore_spec_from_json(v: &Json) -> Option<ExploreSpec> {
     Some(ExploreSpec {
         bench: sel_from_json(v.get("bench")?)?,
         params: params_from_json(v.get("params")?)?,
-        scheme: scheme_from_label(v.get("scheme")?.as_str()?)?,
+        scheme: registry::by_label(v.get("scheme")?.as_str()?)?.kind,
         fault: fault_from_json(v.get("fault")?)?,
         broken_ordering: v.get("broken_ordering")?.as_bool()?,
         max_points: v.get("max_points")?.as_usize()?,

@@ -10,7 +10,6 @@
 
 use crate::runner::ExperimentResult;
 use proteus_harness::Json;
-use proteus_types::config::LoggingSchemeKind;
 use proteus_types::stats::{
     CacheStats, CoherenceStats, CoreStats, MemStats, RunSummary, StallCause,
 };
@@ -186,16 +185,6 @@ pub fn summary_from_json(v: &Json) -> Option<RunSummary> {
             None => CoherenceStats::default(),
         },
     })
-}
-
-/// Encodes a logging scheme as its stable report label.
-pub fn scheme_to_json(s: LoggingSchemeKind) -> Json {
-    Json::str(s.label())
-}
-
-/// Resolves a scheme from its report label; `None` on unknown labels.
-pub fn scheme_from_label(label: &str) -> Option<LoggingSchemeKind> {
-    LoggingSchemeKind::ALL.into_iter().find(|s| s.label() == label)
 }
 
 /// Encodes an experiment result for the ledger.

@@ -338,6 +338,24 @@ mod tests {
         assert!(matches!(run_one(&spec), Err(SimError::TooManyThreads { .. })));
     }
 
+    /// A machine with more cores than the address layout has log areas
+    /// still refuses a workload past the layout's capacity, as a typed
+    /// error instead of a panic while addressing the missing log area.
+    #[test]
+    fn threads_beyond_the_layout_capacity_are_rejected() {
+        let max = proteus_core::layout::AddressLayout::default().max_threads;
+        let spec = ExperimentSpec {
+            config: SystemConfig::skylake_like().with_num_cores(max + 1),
+            scheme: LoggingSchemeKind::SwPmem,
+            bench: Benchmark::Queue.into(),
+            params: WorkloadParams { threads: max + 1, ..tiny_params() },
+        };
+        assert_eq!(
+            run_one(&spec).unwrap_err(),
+            SimError::TooManyThreads { requested: max + 1, available: max }
+        );
+    }
+
     /// Regression for the pre-harness runner, which aborted the whole
     /// sweep on any worker panic (`.expect("worker thread panicked")`)
     /// and could tear down sibling experiments: a panicking experiment

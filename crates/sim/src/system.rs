@@ -121,7 +121,8 @@ impl System {
     /// # Errors
     ///
     /// Returns an error if the configuration is invalid, the workload
-    /// needs more threads than cores, or trace expansion fails.
+    /// needs more threads than there are cores or log areas
+    /// ([`SimError::TooManyThreads`]), or trace expansion fails.
     pub fn new(
         cfg: &SystemConfig,
         scheme: LoggingSchemeKind,
@@ -138,7 +139,8 @@ impl System {
     /// # Errors
     ///
     /// Returns an error if either configuration is invalid, the workload
-    /// needs more threads than cores, or trace expansion fails.
+    /// needs more threads than there are cores or log areas, or trace
+    /// expansion fails.
     pub fn new_with_trace(
         cfg: &SystemConfig,
         scheme: LoggingSchemeKind,
@@ -147,13 +149,13 @@ impl System {
     ) -> Result<Self, SimError> {
         cfg.validate().map_err(SimError::InvalidConfig)?;
         trace.validate().map_err(SimError::InvalidConfig)?;
-        if workload.programs.len() > cfg.num_cores {
-            return Err(SimError::TooManyThreads {
-                requested: workload.programs.len(),
-                available: cfg.num_cores,
-            });
-        }
+        // Each thread needs a core and a log area: a thread beyond the
+        // layout's capacity would have no log area to address.
         let layout = AddressLayout::default();
+        let available = cfg.num_cores.min(layout.max_threads);
+        if workload.programs.len() > available {
+            return Err(SimError::TooManyThreads { requested: workload.programs.len(), available });
+        }
         let drain_mode = match registry::descriptor(scheme).drain {
             registry::DrainPolicy::KeepUntilCommit => LogDrainMode::KeepUntilCommit,
             registry::DrainPolicy::DrainAlways => LogDrainMode::DrainAlways,
@@ -625,12 +627,6 @@ impl System {
         } else {
             Some(TraceReport { tracks, sample_interval: self.trace_sample_interval })
         }
-    }
-
-    /// Per-core state snapshots for debugging stuck machines. Test-only.
-    #[doc(hidden)]
-    pub fn debug_dump_cores(&self) -> Vec<String> {
-        self.cores.iter().map(Core::debug_dump).collect()
     }
 
     /// Statistics snapshot, exact at any cycle: a sleeping core's stall

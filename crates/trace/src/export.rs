@@ -1,7 +1,7 @@
-//! Exporters: Chrome trace-event JSON (loadable in Perfetto / `chrome://
-//! tracing`) and a self-describing JSONL summary.
+//! Exporter: Chrome trace-event JSON (loadable in Perfetto / `chrome://
+//! tracing`).
 //!
-//! Both are hand-rolled writers — the crate is std-only — emitting only
+//! A hand-rolled writer — the crate is std-only — emitting only
 //! ASCII field names and numbers, with string values escaped defensively.
 
 use crate::event::{CacheLevel, QueueId, TraceEventKind};
@@ -228,69 +228,6 @@ impl TraceReport {
         }
         w.finish(self.sample_interval)
     }
-
-    /// Serialises a compact JSONL summary: every line is a flat JSON
-    /// object with a `v` schema version and an `event` discriminator.
-    pub fn to_jsonl_summary(&self) -> String {
-        let mut out = String::new();
-        for t in &self.tracks {
-            let _ = writeln!(
-                out,
-                "{{\"v\":1,\"event\":\"trace-track\",\"track\":\"{}\",\"events\":{},\"dropped\":{},\"capacity\":{}}}",
-                esc(&t.name()),
-                t.events.len(),
-                t.dropped_oldest,
-                t.capacity
-            );
-            for (q, h) in &t.occupancy {
-                let _ = writeln!(
-                    out,
-                    "{{\"v\":1,\"event\":\"trace-occupancy\",\"track\":\"{}\",\"queue\":\"{}\",\"samples\":{},\"max\":{},\"hist\":\"{}\"}}",
-                    esc(&t.name()),
-                    q.label(),
-                    h.count(),
-                    h.max(),
-                    esc(&h.render())
-                );
-            }
-            for (q, h) in &t.wait {
-                let _ = writeln!(
-                    out,
-                    "{{\"v\":1,\"event\":\"trace-wait\",\"track\":\"{}\",\"queue\":\"{}\",\"samples\":{},\"max\":{},\"hist\":\"{}\"}}",
-                    esc(&t.name()),
-                    q.label(),
-                    h.count(),
-                    h.max(),
-                    esc(&h.render())
-                );
-            }
-        }
-        for r in self.tx_records() {
-            let _ = writeln!(
-                out,
-                "{{\"v\":1,\"event\":\"trace-tx\",\"core\":{},\"tx\":{},\"begin\":{},\"last_store\":{},\"commit_request\":{},\"durable\":{},\"commit_latency\":{},\"laggard\":\"{}\",\"blocked\":{}}}",
-                r.core,
-                r.tx,
-                r.begin,
-                r.last_store,
-                r.commit_request,
-                r.durable,
-                r.commit_latency(),
-                esc(r.wait.laggard()),
-                r.wait.total()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{{\"v\":1,\"event\":\"trace-summary\",\"tracks\":{},\"tx_records\":{},\"total_events\":{},\"dropped\":{},\"sample_interval\":{}}}",
-            self.tracks.len(),
-            self.tx_records().len(),
-            self.total_events(),
-            self.total_dropped(),
-            self.sample_interval
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -360,21 +297,10 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"laggard\":\"logq-flush\""));
         // Balanced braces (cheap structural sanity; real parsing is done
-        // by the tracedump smoke which feeds it through a JSON parser).
+        // by `reproduce trace --file`, which feeds it through a JSON parser).
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn jsonl_summary_lines_are_self_describing() {
-        let report = sample_report();
-        let jsonl = report.to_jsonl_summary();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert!(lines.iter().all(|l| l.starts_with("{\"v\":1,\"event\":\"trace-")));
-        assert!(lines.iter().any(|l| l.contains("\"event\":\"trace-tx\"")));
-        assert!(lines.last().unwrap().contains("\"event\":\"trace-summary\""));
-        assert!(lines.last().unwrap().contains("\"dropped\":2"));
     }
 
     #[test]

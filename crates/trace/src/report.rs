@@ -1,8 +1,7 @@
 //! The whole-run trace report: every track's dump, consistency checking
-//! against the run's `RunSummary`, and the text tables `tracedump` and
-//! `probe` print.
+//! against the run's `RunSummary`, and the text tables `reproduce trace`
+//! prints.
 
-use crate::event::QueueId;
 use crate::record::{CommitWait, TxRecord};
 use crate::tracer::{TrackDump, TrackKind};
 use proteus_types::stats::RunSummary;
@@ -184,22 +183,6 @@ impl TraceReport {
             out.push_str("(no occupancy samples)\n");
         }
         out
-    }
-
-    /// Per-queue occupancy histogram merged across tracks (used by
-    /// reports that don't care which component sampled the queue).
-    pub fn merged_occupancy(&self) -> Vec<(QueueId, proteus_types::stats::Log2Histogram)> {
-        let mut merged: Vec<(QueueId, proteus_types::stats::Log2Histogram)> = Vec::new();
-        for t in &self.tracks {
-            for (q, h) in &t.occupancy {
-                match merged.iter_mut().find(|(mq, _)| mq == q) {
-                    Some((_, mh)) => mh.merge(h),
-                    None => merged.push((*q, h.clone())),
-                }
-            }
-        }
-        merged.sort_by_key(|(q, _)| q.slot());
-        merged
     }
 }
 

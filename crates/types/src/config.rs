@@ -5,7 +5,7 @@
 //! three-level cache hierarchy over a single-channel DDR3-1600 memory system
 //! whose timing is re-parameterised for NVM latencies.
 
-use crate::clock::{ns_to_cycles, Cycle};
+use crate::clock::Cycle;
 
 /// Out-of-order core parameters (Table 1, "Processor" row).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -481,15 +481,6 @@ impl SystemConfig {
         self.caches.l2.size_bytes = (self.caches.l2.size_bytes / divisor).max(16 * 1024);
         self.caches.l3.size_bytes = (self.caches.l3.size_bytes / divisor).max(128 * 1024);
         self
-    }
-
-    /// NVM read service latency floor in CPU cycles (for documentation and
-    /// sanity tests; the bank model derives actual latencies from timing).
-    pub fn nominal_read_latency(&self) -> Cycle {
-        match self.mem.tech {
-            MemTech::Dram => ns_to_cycles(28, self.cores.freq_mhz),
-            MemTech::NvmFast | MemTech::NvmSlow => ns_to_cycles(50, self.cores.freq_mhz),
-        }
     }
 
     /// Validates internal consistency.

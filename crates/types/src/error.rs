@@ -40,11 +40,13 @@ pub enum SimError {
     UnmappedAddress(Addr),
     /// Recovery found a corrupt or inconsistent log image.
     CorruptLog(String),
-    /// The workload asked for more cores/threads than the system has.
+    /// The workload asked for more threads than the system has cores,
+    /// or than its address layout has log areas.
     TooManyThreads {
         /// Requested thread count.
         requested: usize,
-        /// Available core count.
+        /// Threads the machine can run: the smaller of its core count
+        /// and its layout's thread capacity.
         available: usize,
     },
     /// A harness job panicked. The worker caught the panic, so the
@@ -84,7 +86,7 @@ impl fmt::Display for SimError {
             SimError::UnmappedAddress(addr) => write!(f, "access to unmapped address {addr}"),
             SimError::CorruptLog(msg) => write!(f, "corrupt log image: {msg}"),
             SimError::TooManyThreads { requested, available } => {
-                write!(f, "workload requested {requested} threads but only {available} cores exist")
+                write!(f, "workload requested {requested} threads but the machine runs at most {available}")
             }
             SimError::WorkerPanic { job, message } => {
                 write!(f, "experiment job '{job}' panicked: {message}")

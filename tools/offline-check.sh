@@ -94,16 +94,23 @@ do_test() {
         echo "resume smoke: the resumed run printed different stdout" >&2
         exit 1
     }
-    # Smoke the cycle-level tracer end to end: tracedump exits non-zero
-    # unless the trace reconciles (±0) with the RunSummary, the emitted
-    # Chrome JSON parses, and every core and MC queue track carries at
-    # least one event. Independently require a non-trivial artifact.
-    run cargo run -q --release -p proteus-bench --bin tracedump -- \
-        qe --scale 0.02 --out "${OUT}/smoke_trace.json"
+    # Smoke the cycle-level tracer end to end: `reproduce trace --file`
+    # exits non-zero unless the trace reconciles (±0) with the
+    # RunSummary, the emitted Chrome JSON parses, and every core and MC
+    # queue track carries at least one event. Independently require a
+    # non-trivial artifact.
+    run cargo run -q --release -p proteus-bench --bin reproduce -- \
+        trace --workload qe --scheme proteus --scale 0.02 --file "${OUT}/smoke_trace.json"
     [[ -s "${OUT}/smoke_trace.json" ]] || {
-        echo "tracedump smoke produced an empty Chrome trace" >&2
+        echo "trace smoke produced an empty Chrome trace" >&2
         exit 1
     }
+    # Round-trip the scheme golden: regenerating it must reproduce the
+    # committed file byte for byte (the seed schemes' spec hashes and
+    # RunSummaries at the pin's two fixed scales).
+    run cargo run -q --release -p proteus-bench --bin reproduce -- \
+        golden --file "${OUT}/golden.jsonl"
+    run cmp "${OUT}/golden.jsonl" crates/bench/tests/golden/fig6_seed_schemes.jsonl
     # Smoke the cycle-engine benchmark: times the fixed basket with
     # fast-forwarding on and off and fails if the outputs diverge.
     run cargo run -q --release -p proteus-bench --bin reproduce -- \
