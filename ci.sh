@@ -28,8 +28,10 @@
 #       crates/bench/tests/golden/fig6_seed_schemes.jsonl), and a
 #       `reproduce bench` run timing the cycle engine with
 #       fast-forwarding on and off (fails on any output divergence)
-#   the engine determinism suite twice: once normally and once with
-#       --features paranoid, which single-steps every would-be skip and
+#   the engine determinism suite and the engine's unit tests (among
+#       them the skip rule: a jump only while every core sleeps, and no
+#       core credited by it) twice: once normally and once with
+#       --features paranoid, which single-steps every would-be jump and
 #       asserts the machine state fingerprint never moves, and ticks
 #       every sleeping core anyway, asserting it holds still
 #   the crash suite (tests/integration_crash.rs) again under

@@ -842,9 +842,110 @@ fn crash_params(ctx: &ExperimentCtx, sel: &WorkloadSel) -> WorkloadParams {
     })
 }
 
+/// A crash-consistency matrix as `crashsweep` and `contention` run it:
+/// every cell explored and tabulated, then a self-test proving the
+/// checker has teeth.
+struct CrashMatrix {
+    /// The report's first line.
+    headline: &'static str,
+    /// First table column: what the rows' workloads are called.
+    column: &'static str,
+    /// Fewest crash points a cell may explore at scale ≥ 0.1 (0: no
+    /// floor).
+    point_floor: usize,
+    /// The deliberately broken spec the self-test must catch.
+    broken: proteus_crash::ExploreSpec,
+    /// The fault `broken` injects, as the report names it.
+    fault: &'static str,
+    /// What the self-test calls its shrunk repro.
+    repro: &'static str,
+}
+
+impl CrashMatrix {
+    /// Explores `specs`, then catches, shrinks, saves (to `--file`) and
+    /// replays the broken spec.
+    ///
+    /// # Errors
+    ///
+    /// Fails on simulation errors, on a cell under the point floor, on
+    /// any consistency violation in the matrix, and if the broken spec
+    /// is not caught, does not shrink, or its repro does not replay.
+    fn run(
+        &self,
+        ctx: &ExperimentCtx,
+        specs: &[proteus_crash::ExploreSpec],
+    ) -> Result<String, SimError> {
+        use proteus_crash::{explore, shrink};
+
+        let outcomes = proteus_crash::sweep(specs, &ctx.opts)?.into_payloads()?;
+        let mut table = Table::new([self.column, "scheme", "events", "points", "violations"]);
+        let mut violated = Vec::new();
+        for (spec, outcome) in specs.iter().zip(&outcomes) {
+            // Scaled-down smokes explore every event they have; only the
+            // default scale (and up) is held to the absolute floor, which
+            // the roster's workload sizing must clear.
+            if ctx.scale.scale >= 0.1 && outcome.points_explored < self.point_floor {
+                return Err(SimError::InvalidConfig(format!(
+                    "{}: only {} crash points (floor is {} at scale >= 0.1)",
+                    spec.name(),
+                    outcome.points_explored,
+                    self.point_floor
+                )));
+            }
+            table.row([
+                spec.bench.abbrev().to_string(),
+                spec.scheme.label().to_string(),
+                outcome.total_events.to_string(),
+                outcome.points_explored.to_string(),
+                outcome.violations.len().to_string(),
+            ]);
+            if let Some(v) = outcome.violations.first() {
+                violated.push(format!("{} at event {}: {}", spec.name(), v.event, v.detail));
+            }
+        }
+        if let Some(first) = violated.first() {
+            return Err(SimError::ConsistencyViolation(first.clone()));
+        }
+
+        let outcome = explore(&self.broken)?;
+        if outcome.violations.is_empty() {
+            return Err(SimError::ConsistencyViolation(format!(
+                "self-test FAILED: {} escaped {} crash points",
+                self.fault, outcome.points_explored
+            )));
+        }
+        let repro = shrink(&self.broken)?.ok_or_else(|| {
+            SimError::ConsistencyViolation("self-test FAILED: violation did not shrink".into())
+        })?;
+        let path = ctx.file.clone().unwrap_or_else(default_repro_path);
+        repro.save(&path)?;
+        if !repro.replay()?.violated {
+            return Err(SimError::ConsistencyViolation(format!(
+                "self-test FAILED: shrunk {} did not replay",
+                self.repro
+            )));
+        }
+
+        Ok(format!(
+            "{}\n{}\n\
+             self-test: {} caught at {} of {} crash points,\n\
+             shrunk to {} (event {}), replayed from {}",
+            self.headline,
+            table.render(),
+            self.fault,
+            outcome.violations.len(),
+            outcome.points_explored,
+            repro.spec.name(),
+            repro.event,
+            path.display(),
+        ))
+    }
+}
+
 /// Crash-point sweep: systematic crash/recover/check across the
 /// failure-safe schemes, then the seeded `disable_persist_ordering`
-/// self-test proving the checker has teeth.
+/// self-test: the broken core must be caught, shrunk, and the artifact
+/// must replay the violation from scratch.
 ///
 /// # Errors
 ///
@@ -852,7 +953,7 @@ fn crash_params(ctx: &ExperimentCtx, sel: &WorkloadSel) -> WorkloadParams {
 /// failure-safe matrix, and if the deliberately broken core is *not*
 /// caught.
 pub fn crashsweep(ctx: &ExperimentCtx) -> Result<String, SimError> {
-    use proteus_crash::{explore, shrink, ExploreSpec};
+    use proteus_crash::ExploreSpec;
 
     let schemes = crash_schemes();
     let specs: Vec<ExploreSpec> = roster::crash_roster()
@@ -865,67 +966,23 @@ pub fn crashsweep(ctx: &ExperimentCtx) -> Result<String, SimError> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let outcomes = proteus_crash::sweep(&specs, &ctx.opts)?.into_payloads()?;
-
-    let mut table = Table::new(["bench", "scheme", "events", "points", "violations"]);
-    let mut violated = Vec::new();
-    for (spec, outcome) in specs.iter().zip(&outcomes) {
-        table.row([
-            spec.bench.abbrev().to_string(),
-            spec.scheme.label().to_string(),
-            outcome.total_events.to_string(),
-            outcome.points_explored.to_string(),
-            outcome.violations.len().to_string(),
-        ]);
-        if let Some(v) = outcome.violations.first() {
-            violated.push(format!("{} at event {}: {}", spec.name(), v.event, v.detail));
-        }
+    CrashMatrix {
+        headline: "Crash sweep: consistency checked at every sampled persist event",
+        column: "bench",
+        point_floor: 0,
+        broken: ExploreSpec {
+            broken_ordering: true,
+            ..ExploreSpec::new(
+                Benchmark::Queue,
+                WorkloadParams { threads: 1, init_ops: 40, sim_ops: 8, seed: 7 },
+                LoggingSchemeKind::Proteus,
+                512,
+            )
+        },
+        fault: "disable_persist_ordering",
+        repro: "repro",
     }
-    if let Some(first) = violated.first() {
-        return Err(SimError::ConsistencyViolation(first.clone()));
-    }
-
-    // Self-validation: the broken core must be caught, shrunk, and the
-    // artifact must replay the violation from scratch.
-    let broken = ExploreSpec {
-        broken_ordering: true,
-        ..ExploreSpec::new(
-            Benchmark::Queue,
-            WorkloadParams { threads: 1, init_ops: 40, sim_ops: 8, seed: 7 },
-            LoggingSchemeKind::Proteus,
-            512,
-        )
-    };
-    let outcome = explore(&broken)?;
-    if outcome.violations.is_empty() {
-        return Err(SimError::ConsistencyViolation(format!(
-            "self-test FAILED: disable_persist_ordering escaped {} crash points",
-            outcome.points_explored
-        )));
-    }
-    let repro = shrink(&broken)?.ok_or_else(|| {
-        SimError::ConsistencyViolation("self-test FAILED: violation did not shrink".into())
-    })?;
-    let path = ctx.file.clone().unwrap_or_else(default_repro_path);
-    repro.save(&path)?;
-    let replay = repro.replay()?;
-    if !replay.violated {
-        return Err(SimError::ConsistencyViolation(
-            "self-test FAILED: shrunk repro did not replay".into(),
-        ));
-    }
-
-    Ok(format!(
-        "Crash sweep: consistency checked at every sampled persist event\n{}\n\
-         self-test: disable_persist_ordering caught at {} of {} crash points,\n\
-         shrunk to {} (event {}), replayed from {}",
-        table.render(),
-        outcome.violations.len(),
-        outcome.points_explored,
-        repro.spec.name(),
-        repro.event,
-        path.display(),
-    ))
+    .run(ctx, &specs)
 }
 
 /// Contended crash sweep: the roster's contended shared-structure
@@ -943,7 +1000,7 @@ pub fn crashsweep(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// failure-safe matrix, on a cell under 200 crash points at full
 /// default scale, and if the early-release fault is *not* caught.
 pub fn contention(ctx: &ExperimentCtx) -> Result<String, SimError> {
-    use proteus_crash::{explore, shrink, ExploreSpec};
+    use proteus_crash::ExploreSpec;
     use proteus_workloads::{ContendedKind, ContendedSpec};
 
     let schemes = registry::contention_roster();
@@ -956,77 +1013,25 @@ pub fn contention(ctx: &ExperimentCtx) -> Result<String, SimError> {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let outcomes = proteus_crash::sweep(&specs, &ctx.opts)?.into_payloads()?;
-
-    let mut table = Table::new(["workload", "scheme", "events", "points", "violations"]);
-    let mut violated = Vec::new();
-    for (spec, outcome) in specs.iter().zip(&outcomes) {
+    CrashMatrix {
+        headline: "Contention sweep: cross-thread consistency checked at every sampled \
+                   persist event",
+        column: "workload",
         // The acceptance bar: >= 200 stratified crash points per cell.
-        // Scaled-down smokes explore every event they have; only the
-        // default scale (and up) is held to the absolute floor, which
-        // the roster's workload sizing must clear.
-        if ctx.scale.scale >= 0.1 && outcome.points_explored < 200 {
-            return Err(SimError::InvalidConfig(format!(
-                "{}: only {} crash points (floor is 200 at scale >= 0.1)",
-                spec.name(),
-                outcome.points_explored
-            )));
-        }
-        table.row([
-            spec.bench.abbrev().to_string(),
-            spec.scheme.label().to_string(),
-            outcome.total_events.to_string(),
-            outcome.points_explored.to_string(),
-            outcome.violations.len().to_string(),
-        ]);
-        if let Some(v) = outcome.violations.first() {
-            violated.push(format!("{} at event {}: {}", spec.name(), v.event, v.detail));
-        }
+        point_floor: 200,
+        // A lock handed over before the group's commit persists: the
+        // cross-thread oracle must see a recovered image matching no
+        // commit prefix.
+        broken: ExploreSpec::new(
+            ContendedSpec { kind: ContendedKind::MpmcQueue, early_release: true },
+            WorkloadParams { threads: 3, init_ops: 64, sim_ops: 16, seed: 9 },
+            LoggingSchemeKind::Proteus,
+            512,
+        ),
+        fault: "early_release",
+        repro: "early-release repro",
     }
-    if let Some(first) = violated.first() {
-        return Err(SimError::ConsistencyViolation(first.clone()));
-    }
-
-    // Self-validation: hand a lock over before the group's commit
-    // persists and the cross-thread oracle must see a recovered image
-    // matching no commit prefix. Mirrors `crashsweep`'s
-    // disable_persist_ordering self-test on the new axis.
-    let broken = ExploreSpec::new(
-        ContendedSpec { kind: ContendedKind::MpmcQueue, early_release: true },
-        WorkloadParams { threads: 3, init_ops: 64, sim_ops: 16, seed: 9 },
-        LoggingSchemeKind::Proteus,
-        512,
-    );
-    let outcome = explore(&broken)?;
-    if outcome.violations.is_empty() {
-        return Err(SimError::ConsistencyViolation(format!(
-            "self-test FAILED: early_release escaped {} crash points",
-            outcome.points_explored
-        )));
-    }
-    let repro = shrink(&broken)?.ok_or_else(|| {
-        SimError::ConsistencyViolation("self-test FAILED: violation did not shrink".into())
-    })?;
-    let path = ctx.file.clone().unwrap_or_else(default_repro_path);
-    repro.save(&path)?;
-    let replay = repro.replay()?;
-    if !replay.violated {
-        return Err(SimError::ConsistencyViolation(
-            "self-test FAILED: shrunk early-release repro did not replay".into(),
-        ));
-    }
-
-    Ok(format!(
-        "Contention sweep: cross-thread consistency checked at every sampled persist event\n{}\n\
-         self-test: early_release caught at {} of {} crash points,\n\
-         shrunk to {} (event {}), replayed from {}",
-        table.render(),
-        outcome.violations.len(),
-        outcome.points_explored,
-        repro.spec.name(),
-        repro.event,
-        path.display(),
-    ))
+    .run(ctx, &specs)
 }
 
 /// Peak resident set size of this process in KiB (Linux `VmHWM`; 0 when

@@ -366,14 +366,9 @@ impl Core {
         self.lock_acquires
     }
 
-    /// Drains requests bound for the memory controller.
-    pub fn drain_requests(&mut self) -> Vec<(Cycle, McRequest)> {
-        std::mem::take(&mut self.out)
-    }
-
     /// Moves requests bound for the memory controller into `sink`,
-    /// preserving order. Reuses `sink`'s allocation — the per-cycle hot
-    /// path, unlike [`Core::drain_requests`].
+    /// preserving order. Reuses `sink`'s allocation, so the per-cycle
+    /// path allocates nothing.
     pub fn drain_requests_into(&mut self, sink: &mut Vec<(Cycle, McRequest)>) {
         sink.append(&mut self.out);
     }
@@ -1084,45 +1079,62 @@ impl Core {
         }
     }
 
+    /// Dispatches up to `width` uops in order. Each one first passes
+    /// [`Core::dispatch_stall_cause`]; the first that does not ends the
+    /// cycle's dispatch, and records its cause if nothing dispatched.
     fn dispatch<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
         let mut dispatched = 0;
-        let mut stall: Option<StallCause> = None;
         while dispatched < self.width && self.pc < self.trace.uops.len() {
             let uop = self.trace.uops[self.pc];
-            if self.rob.len() >= self.rob_entries {
-                stall = Some(self.rob_full_cause());
-                break;
+            if let Some(cause) = self.dispatch_stall_cause(caches) {
+                self.stalled_dispatch(uop, cause, now, caches);
+                if dispatched == 0 {
+                    self.stats.record_stall(cause);
+                    self.tracer.emit(now, TraceEventKind::Stall(cause));
+                }
+                return;
             }
-            // Fence blocks younger stores and PMEM/logging operations.
-            if self.fence_active
-                && matches!(
-                    uop,
-                    Uop::Store { .. }
-                        | Uop::Clwb { .. }
-                        | Uop::Sfence
-                        | Uop::Pcommit
-                        | Uop::LogLoad { .. }
-                        | Uop::LogFlush { .. }
-                        | Uop::TxBegin { .. }
-                        | Uop::TxEnd { .. }
-                        | Uop::LogSave
-                )
-            {
-                stall = Some(StallCause::FenceDrain);
-                break;
+            self.dispatch_one(uop, now, caches);
+            if self.fault.is_some() {
+                return;
             }
-            match self.try_dispatch_one(uop, now, caches) {
-                Ok(()) => dispatched += 1,
-                Err(cause) => {
-                    stall = Some(cause);
-                    break;
+            dispatched += 1;
+        }
+    }
+
+    /// What a dispatch attempt that stalls with `cause` still does. A
+    /// `log-load` held by the load queue or LR file has looked up the LLT
+    /// before the reject is known: the lookup is undone, but it has moved
+    /// the LRU clock and may have evicted a way. A full LR file or LogQ
+    /// records a `Reject`. A `wait-value` whose lock word is cached
+    /// nowhere pulls the line in (memory is authoritative, see
+    /// `lock_word_visible`) and retries once it lands; MSHR dedup makes
+    /// the polling free.
+    fn stalled_dispatch<C: CacheAccess>(
+        &mut self,
+        uop: Uop,
+        cause: StallCause,
+        now: Cycle,
+        caches: &C,
+    ) {
+        match (uop, cause) {
+            (Uop::LogLoad { addr, .. }, StallCause::LoadQFull | StallCause::LrFull) => {
+                let grain = addr.log_grain();
+                self.llt.lookup_insert(grain);
+                self.llt.undo_insert(grain);
+                if cause == StallCause::LrFull {
+                    self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogRegs });
                 }
             }
-        }
-        if dispatched == 0 && self.pc < self.trace.uops.len() {
-            let cause = stall.unwrap_or(StallCause::IssueQFull);
-            self.stats.record_stall(cause);
-            self.tracer.emit(now, TraceEventKind::Stall(cause));
+            (Uop::LogFlush { .. }, StallCause::LogQFull) => {
+                self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogQ });
+            }
+            (Uop::WaitValue { addr, .. }, StallCause::LockWait)
+                if self.lock_word_visible(addr, self.next_seq, caches).is_none() =>
+            {
+                self.issue_fetch(addr.line(), now);
+            }
+            _ => {}
         }
     }
 
@@ -1135,21 +1147,16 @@ impl Core {
         }
     }
 
-    fn try_dispatch_one<C: CacheAccess>(
-        &mut self,
-        uop: Uop,
-        now: Cycle,
-        caches: &mut C,
-    ) -> Result<(), StallCause> {
+    /// Dispatches `uop`, which [`Core::dispatch_stall_cause`] has let
+    /// through. The one way it can still fail is a `log-flush` that
+    /// overflows the log area: §4.1's exception stops the core there.
+    fn dispatch_one<C: CacheAccess>(&mut self, uop: Uop, now: Cycle, caches: &mut C) {
         let seq = self.next_seq;
         let mut state = UopState::None;
         let mut completed = false;
         let mut complete_at: Option<Cycle> = None;
         match uop {
             Uop::Compute { latency } => {
-                if self.inflight_exec >= self.issueq_entries {
-                    return Err(StallCause::IssueQFull);
-                }
                 // Scalar application code is a serial dependency chain:
                 // consecutive computes execute back to back, not in
                 // parallel.
@@ -1158,12 +1165,6 @@ impl Core {
                 complete_at = Some(done);
             }
             Uop::Load { addr, dependent } => {
-                if self.inflight_exec >= self.issueq_entries {
-                    return Err(StallCause::IssueQFull);
-                }
-                if self.loads_in_rob >= self.loadq_entries {
-                    return Err(StallCause::LoadQFull);
-                }
                 self.loads_in_rob += 1;
                 self.incomplete_loads.insert(seq);
                 if dependent && self.incomplete_loads.range(..seq).next().is_some() {
@@ -1191,9 +1192,6 @@ impl Core {
                 }
             }
             Uop::Store { addr, value } => {
-                if self.storeq.len() >= self.storeq_entries {
-                    return Err(StallCause::StoreQFull);
-                }
                 self.storeq.push_back(StoreEntry { seq, addr, value, retired: false });
                 self.tracer.emit(
                     now,
@@ -1213,9 +1211,6 @@ impl Core {
                 complete_at = Some(now + 1);
             }
             Uop::Clwb { .. } => {
-                if self.inflight_exec >= self.issueq_entries {
-                    return Err(StallCause::IssueQFull);
-                }
                 complete_at = Some(now + 1);
             }
             Uop::Sfence => {
@@ -1248,9 +1243,6 @@ impl Core {
                 }
             }
             Uop::LogLoad { lr, addr } => {
-                if self.inflight_exec >= self.issueq_entries {
-                    return Err(StallCause::IssueQFull);
-                }
                 let lr = lr.0 as usize;
                 let grain = addr.log_grain();
                 // The LLT is consulted as soon as the log-from address is
@@ -1258,28 +1250,12 @@ impl Core {
                 // and no data is loaded (§4.2).
                 self.stats.llt_lookups += 1;
                 let elided = self.llt.lookup_insert(grain);
+                let allocated = self.lrs.try_allocate(lr, grain, elided);
+                assert!(allocated, "the dispatch gate found LR{lr} free");
                 if elided {
                     self.stats.llt_hits += 1;
-                    if !self.lrs.try_allocate(lr, grain, true) {
-                        self.llt.undo_insert(grain);
-                        self.stats.llt_lookups -= 1;
-                        self.stats.llt_hits -= 1;
-                        self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogRegs });
-                        return Err(StallCause::LrFull);
-                    }
                     complete_at = Some(now + 1);
                 } else {
-                    if self.loads_in_rob >= self.loadq_entries {
-                        self.llt.undo_insert(grain);
-                        self.stats.llt_lookups -= 1;
-                        return Err(StallCause::LoadQFull);
-                    }
-                    if !self.lrs.try_allocate(lr, grain, false) {
-                        self.llt.undo_insert(grain);
-                        self.stats.llt_lookups -= 1;
-                        self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogRegs });
-                        return Err(StallCause::LrFull);
-                    }
                     self.loads_in_rob += 1;
                     self.incomplete_loads.insert(seq);
                     self.tracer.emit(
@@ -1318,9 +1294,6 @@ impl Core {
                 }
             }
             Uop::LogFlush { lr } => {
-                if self.inflight_exec >= self.issueq_entries {
-                    return Err(StallCause::IssueQFull);
-                }
                 let lr = lr.0 as usize;
                 let grain =
                     self.lrs.grain(lr).expect("log-flush follows its log-load in program order");
@@ -1332,10 +1305,6 @@ impl Core {
                     state = UopState::LogFlush { logq_id: None, elided: true };
                     complete_at = Some(now + 1);
                 } else {
-                    if !self.logq.has_space() {
-                        self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogQ });
-                        return Err(StallCause::LogQFull);
-                    }
                     let tx = self.current_tx.expect("logging inside a transaction");
                     let (slot, entry_seq) = match self.logarea.alloc() {
                         Ok(slot) => slot,
@@ -1344,7 +1313,7 @@ impl Core {
                             // core stops here, and `System::run` returns it.
                             self.fault = Some(overflow);
                             self.done_at = Some(now);
-                            return Err(StallCause::LogQFull);
+                            return;
                         }
                     };
                     let id = self.logq.alloc(grain, slot);
@@ -1368,45 +1337,24 @@ impl Core {
                 self.fence_active = true;
                 completed = true;
             }
-            Uop::WaitValue { addr, expected } => {
-                if self.inflight_exec >= self.issueq_entries {
-                    return Err(StallCause::IssueQFull);
-                }
-                if self.loads_in_rob >= self.loadq_entries {
-                    return Err(StallCause::LoadQFull);
-                }
-                match self.lock_word_visible(addr, seq, caches) {
-                    Some(v) if v == expected => {
-                        // Ticket matched: the acquire dispatches as a
-                        // guaranteed-hit load of the lock word (the probe
-                        // saw the line, so the coherent load cannot miss).
-                        self.loads_in_rob += 1;
-                        self.incomplete_loads.insert(seq);
-                        self.lock_acquires += 1;
-                        self.tracer.emit(now, TraceEventKind::LockAcquire { addr: addr.raw() });
-                        if self.forwarded_word(addr, seq).is_some() {
-                            complete_at = Some(now + self.l1_latency);
-                        } else {
-                            match caches.load(self.id, addr, &mut self.wb_scratch) {
-                                LookupResult::Hit { latency, .. } => {
-                                    complete_at = Some(now + latency);
-                                }
-                                LookupResult::Miss => {
-                                    unreachable!("probe saw the lock line resident")
-                                }
-                            }
-                            self.flush_writebacks(now);
+            Uop::WaitValue { addr, .. } => {
+                // Ticket matched: the acquire dispatches as a
+                // guaranteed-hit load of the lock word (the gate saw the
+                // line, so the coherent load cannot miss).
+                self.loads_in_rob += 1;
+                self.incomplete_loads.insert(seq);
+                self.lock_acquires += 1;
+                self.tracer.emit(now, TraceEventKind::LockAcquire { addr: addr.raw() });
+                if self.forwarded_word(addr, seq).is_some() {
+                    complete_at = Some(now + self.l1_latency);
+                } else {
+                    match caches.load(self.id, addr, &mut self.wb_scratch) {
+                        LookupResult::Hit { latency, .. } => {
+                            complete_at = Some(now + latency);
                         }
+                        LookupResult::Miss => unreachable!("the gate saw the lock line resident"),
                     }
-                    Some(_) => return Err(StallCause::LockWait),
-                    None => {
-                        // Nowhere cached: pull the lock line in (memory is
-                        // authoritative — see `lock_word_visible`) and
-                        // retry once it lands. MSHR dedup makes the retry
-                        // polling free.
-                        self.issue_fetch(addr.line(), now);
-                        return Err(StallCause::LockWait);
-                    }
+                    self.flush_writebacks(now);
                 }
             }
         }
@@ -1421,7 +1369,6 @@ impl Core {
         self.rob.push_back(RobEntry { seq, uop, completed, state });
         self.next_seq += 1;
         self.pc += 1;
-        Ok(())
     }
 
     fn check_done(&mut self, now: Cycle) {
@@ -1439,17 +1386,17 @@ impl Core {
     }
 
     /// Why dispatch of the next trace uop would stall this cycle, or
-    /// `None` if it would succeed. A read-only mirror of
-    /// [`Core::dispatch`] / `try_dispatch_one`'s gating checks, applied
-    /// in exactly the order the dispatch path applies them — used both to
-    /// predict wakeups and to attribute stall cycles across skipped
-    /// windows.
+    /// `None` if it would succeed. The dispatch gate itself:
+    /// [`Core::dispatch`] asks it before each uop, and the sleep decision
+    /// ([`Core::next_event_cycle`]) and the credit of slept cycles
+    /// ([`Core::skip_credit`]) read the same answer.
     fn dispatch_stall_cause<C: CacheAccess>(&self, caches: &C) -> Option<StallCause> {
         debug_assert!(self.pc < self.trace.uops.len(), "caller checks for remaining uops");
         let uop = self.trace.uops[self.pc];
         if self.rob.len() >= self.rob_entries {
             return Some(self.rob_full_cause());
         }
+        // A fence blocks younger stores and PMEM/logging operations.
         if self.fence_active
             && matches!(
                 uop,
@@ -1689,7 +1636,10 @@ impl Core {
     }
 
     /// [`Core::credit_skipped_cycles`] with the credit read from the
-    /// current state: for a window that starts now.
+    /// current state: for a window that starts now. The engine credits
+    /// only sleepers, through their captured credit; this stays for the
+    /// benchmark's traced loop (`perfbench/src/traced.rs`), which skips
+    /// windows without per-core sleep.
     pub fn account_skipped_cycles<C: CacheAccess>(&mut self, n: u64, caches: &C) {
         if n > 0 {
             self.credit_skipped_cycles(self.skip_credit(caches), n);

@@ -47,7 +47,9 @@ impl Rig {
     fn step(&mut self) {
         let now = self.now;
         self.core.tick(now, &mut self.caches);
-        for (at, req) in self.core.drain_requests() {
+        let mut requests = Vec::new();
+        self.core.drain_requests_into(&mut requests);
+        for (at, req) in requests {
             self.mc.submit(req, at);
         }
         self.mc.tick(now);

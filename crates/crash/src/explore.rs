@@ -5,10 +5,10 @@
 //! persist-event count `E`, then picks crash points: **exhaustive**
 //! (every event index) when `E` fits the budget, otherwise **stratified
 //! sampling** — the index range is split into `max_points` equal strata
-//! and one point is drawn per stratum by a deterministic PRNG seeded from
-//! the spec hash, so every region of the execution is probed and the same
-//! spec always explores the same points (which is what makes resume
-//! ledgers and shrinking sound).
+//! and one point is drawn per stratum from a splitmix64 stream
+//! (`proteus_types::rng`) seeded from the spec hash, so every region of
+//! the execution is probed and the same spec always explores the same
+//! points (which is what makes resume ledgers and shrinking sound).
 //!
 //! Exploration itself is single-pass: one fresh simulation steps forward,
 //! and each time the persist-event counter crosses the next chosen index
@@ -22,6 +22,7 @@ use crate::fault::FaultSpec;
 use crate::oracle::WorkloadOracle;
 use proteus_sim::System;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
+use proteus_types::rng::SplitMix64;
 use proteus_types::{stable_hash_value, FieldHasher, SimError, StableHash, StableHasher};
 use proteus_workgen::WorkloadSel;
 use proteus_workloads::WorkloadParams;
@@ -182,39 +183,16 @@ pub fn choose_points(total: u64, max_points: usize, seed: u64) -> Vec<u64> {
     if total <= max_points as u64 {
         return (1..=total).collect();
     }
-    let mut rng = XorShift::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let strata = max_points as u64;
     (0..strata)
         .map(|s| {
             let lo = 1 + s * total / strata;
             let hi = s.checked_add(1).map(|n| n * total / strata).unwrap_or(total).max(lo);
-            lo + rng.next_u64() % (hi - lo + 1).max(1)
+            lo + rng.below(hi - lo + 1)
         })
         .map(|p| p.min(total))
         .collect()
-}
-
-/// Deterministic xorshift64* PRNG: no `rand` dependency, identical
-/// streams on every platform, seeded from the spec hash so the sampled
-/// points are part of the spec's identity.
-#[derive(Debug, Clone)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    /// Seeds the generator (zero is remapped to a fixed odd constant).
-    pub fn new(seed: u64) -> Self {
-        XorShift(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
-    }
-
-    /// Next pseudo-random value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
 }
 
 #[cfg(test)]

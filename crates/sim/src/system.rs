@@ -31,32 +31,16 @@ pub struct System {
     max_cycles: Cycle,
     cache_tracer: Tracer,
     trace_sample_interval: Cycle,
-    /// Event-driven fast-forwarding and per-core sleep (see `DESIGN.md`
-    /// §6). Forced off when cycle tracing is enabled — tracers sample
-    /// per cycle.
+    /// Per-core sleep and the jumps it allows (see `DESIGN.md` §6). Off
+    /// while the machine records a cycle trace: tracers sample per cycle.
     fast_forward: bool,
-    /// Tracing needs every cycle ticked, so it pins the engine to
-    /// single-stepping regardless of [`System::set_fast_forward`].
-    single_step_forced: bool,
-    /// Cross-validate every skip by single-stepping it and asserting the
+    /// Cross-validate every jump by single-stepping it and asserting the
     /// state fingerprint never moves, and every sleeping core by ticking
-    /// it anyway (also enabled by the `paranoid` cargo feature).
+    /// it anyway. Always on with the `paranoid` cargo feature.
     validate_skips: bool,
     /// Reusable buffer for core→controller requests (no per-cycle
     /// allocation).
     req_buf: Vec<(Cycle, McRequest)>,
-    /// Cycles left before the engine probes [`System::next_wake`] again.
-    /// Non-zero only after a probe found nothing to skip: during busy
-    /// stretches the probe itself is the dominant cost, so it backs off
-    /// and the engine single-steps in the meantime. Purely a wall-clock
-    /// policy — skipped windows are state-neutral by contract, so *when*
-    /// the engine looks for them cannot change simulated outcomes.
-    probe_delay: u32,
-    /// Current backoff step: starts at 1 after every productive skip (the
-    /// next idle window often follows a burst of only a few cycles) and
-    /// doubles on each unproductive probe up to [`MAX_PROBE_BACKOFF`], so
-    /// long busy stretches pay for almost no probes at all.
-    probe_backoff: u32,
     /// Cycles ticked by [`System::step`] so far (observational; see
     /// [`System::steps`]).
     steps: u64,
@@ -70,7 +54,7 @@ pub struct System {
 
 /// A core that fast-forward stops ticking because its own
 /// `next_event_cycle` says it cannot change state before `until` (see
-/// DESIGN.md §6, "Per-core sleep"). It wakes at its first turn in core
+/// DESIGN.md §6, "Sleep and jumps"). It wakes at its first turn in core
 /// order at or after `until`, at its first turn after the cache
 /// hierarchy's [`CacheSystem::epoch`] moves past `epoch`, or when the
 /// inbox delivers it an event, whichever comes first.
@@ -95,13 +79,6 @@ impl Sleep {
         self.until.is_none_or(|until| now < until) && epoch == self.epoch
     }
 }
-
-/// Ceiling for the exponential probe backoff. Probing costs a scan of
-/// every queue in the machine — about as much as simulating one cycle —
-/// while real idle windows (DRAM reads, pcommit drains) last hundreds of
-/// cycles, so a few dozen cycles of blindness costs little and caps
-/// probe overhead in fully busy runs at ~3%.
-const MAX_PROBE_BACKOFF: u32 = 32;
 
 /// The core a controller event is addressed to.
 fn event_core_index(ev: &McEvent) -> usize {
@@ -206,11 +183,8 @@ impl System {
             cache_tracer: Tracer::new(TrackKind::Cache, trace),
             trace_sample_interval: trace.sample_interval,
             fast_forward: EngineConfig::default().fast_forward && !trace.enabled,
-            single_step_forced: trace.enabled,
-            validate_skips: false,
+            validate_skips: cfg!(feature = "paranoid"),
             req_buf: Vec::new(),
-            probe_delay: 0,
-            probe_backoff: 1,
             steps: 0,
             sleep: vec![None; workload.programs.len()],
             core_ticks: 0,
@@ -233,7 +207,7 @@ impl System {
     /// How many times [`System::step`] has ticked an unfinished core so
     /// far. With fast-forwarding off this is the live cores summed over
     /// every cycle; with it on, cores asleep in a cycle are not ticked
-    /// (DESIGN.md §6, "Per-core sleep") and do not count. Observational
+    /// (DESIGN.md §6, "Sleep and jumps") and do not count. Observational
     /// only.
     pub fn core_ticks(&self) -> u64 {
         self.core_ticks
@@ -241,20 +215,20 @@ impl System {
 
     /// Enables or disables event-driven fast-forwarding, per-core sleep
     /// included: with it off, every cycle ticks every unfinished core. A
-    /// no-op (stays off) when the machine was built with cycle tracing,
-    /// which samples per cycle.
+    /// no-op (stays off) while the machine records a cycle trace, which
+    /// samples per cycle.
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on && !self.single_step_forced;
+        self.fast_forward = on && !self.cache_tracer.is_enabled();
     }
 
-    /// Single-steps every would-be skip and asserts the machine
+    /// Single-steps every would-be jump and asserts the machine
     /// fingerprint never moves inside it, and ticks every sleeping core
     /// anyway, asserting the tick changes nothing but its captured stall
-    /// credit. Testing hook for the `next_event_cycle` contract; also
-    /// forced on by the `paranoid` cargo feature.
+    /// credit. Testing hook for the `next_event_cycle` contract; always
+    /// on with the `paranoid` cargo feature.
     #[doc(hidden)]
     pub fn set_validate_skips(&mut self, on: bool) {
-        self.validate_skips = on;
+        self.validate_skips = on || cfg!(feature = "paranoid");
     }
 
     /// The current cycle.
@@ -283,17 +257,16 @@ impl System {
     /// With fast-forwarding on, a core whose own `next_event_cycle` says
     /// it cannot change state next cycle falls asleep after its tick and
     /// is not ticked again until its wake cycle, an event for it, or a
-    /// cache change it could observe (DESIGN.md §6, "Per-core sleep").
+    /// cache change it could observe (DESIGN.md §6, "Sleep and jumps").
     /// The stall cycles it sleeps through are credited when it wakes;
     /// [`System::summary`] includes those still pending, so statistics
     /// are exact after every call.
     pub fn step(&mut self) {
         let now = self.now;
-        let checked = self.validate_skips || cfg!(feature = "paranoid");
         for (core, sleep) in self.cores.iter_mut().zip(&mut self.sleep) {
             if let Some(s) = sleep {
                 if self.fast_forward && s.holds(now, self.caches.epoch()) {
-                    if checked {
+                    if self.validate_skips {
                         // Tick it anyway and prove the sleep was sound.
                         core.credit_skipped_cycles(s.credit, now - s.since);
                         let epoch = self.caches.epoch();
@@ -366,10 +339,12 @@ impl System {
         self.steps += 1;
     }
 
-    /// The earliest cycle at or after `now` at which any component could
-    /// make progress, or `None` if nothing ever will (all cores done).
-    /// Public so tests and tools can observe the event engine's
-    /// scheduling decisions.
+    /// The cycle the engine may jump to: `now` while an unfinished core
+    /// is awake or its sleep has been ended by a cache change, since it
+    /// must be ticked next cycle; otherwise the earliest of the sleepers'
+    /// wake cycles, the inbox's deliveries and the controller's next
+    /// event. `None` if nothing will ever wake. Public so tests and tools
+    /// can observe the engine's scheduling decisions.
     pub fn next_wake(&self) -> Option<Cycle> {
         let now = self.now;
         fn wake(at: Cycle, now: Cycle, best: &mut Option<Cycle>) {
@@ -377,59 +352,41 @@ impl System {
             *best = Some(best.map_or(at, |b| b.min(at)));
         }
         let mut best: Option<Cycle> = None;
-        // Sources are ordered cheapest-first with an early out at `now`:
-        // once anything wants the current cycle no later source can beat
-        // it, and in busy phases that spares the queue scans below.
+        let epoch = self.caches.epoch();
+        for (core, sleep) in self.cores.iter().zip(&self.sleep) {
+            match sleep {
+                Some(s) if s.epoch == epoch => {
+                    if let Some(at) = s.until {
+                        wake(at, now, &mut best);
+                    }
+                }
+                _ if core.is_done() => {}
+                _ => return Some(now),
+            }
+        }
         for (at, _, _) in &self.inbox {
             wake(*at, now, &mut best);
         }
+        // The controller's probe is the costliest source; nothing can
+        // beat `now`.
         if best == Some(now) {
             return best;
         }
-        let epoch = self.caches.epoch();
-        for (core, sleep) in self.cores.iter().zip(&self.sleep) {
-            // A sleeping core's state is frozen and nothing it observes
-            // in the caches has changed, so its own wake cycle still
-            // stands.
-            let next = match sleep {
-                Some(s) if s.epoch == epoch => s.until,
-                _ => core.next_event_cycle(now, &self.caches),
-            };
-            if let Some(at) = next {
-                wake(at, now, &mut best);
-            }
-            if best == Some(now) {
-                return best;
-            }
-        }
         if let Some(at) = self.mc.next_event_cycle(now) {
-            wake(at, now, &mut best);
-        }
-        if let Some(at) = self.caches.next_event_cycle(now) {
             wake(at, now, &mut best);
         }
         best
     }
 
-    /// Advances the machine one event: in fast-forward mode, jumps `now`
-    /// to the next wake point (capped at `limit`) before ticking; in
-    /// single-step mode, ticks the next cycle.
+    /// Advances the machine one event: in fast-forward mode, first jumps
+    /// `now` to [`System::next_wake`] (capped at `limit`) when that lies
+    /// beyond the next cycle, which it can only while every unfinished
+    /// core sleeps; then ticks the next cycle.
     fn advance(&mut self, limit: Cycle) {
         if self.fast_forward {
-            if self.probe_delay > 0 {
-                self.probe_delay -= 1;
-            } else {
-                let wake = self.next_wake().unwrap_or(limit).min(limit);
-                if wake > self.now + 1 {
-                    self.skip_to(wake);
-                    self.probe_backoff = 1;
-                } else {
-                    // Nothing worth skipping: the machine is busy. Back
-                    // off the probes until the burst has had a chance to
-                    // drain.
-                    self.probe_delay = self.probe_backoff;
-                    self.probe_backoff = (self.probe_backoff * 2).min(MAX_PROBE_BACKOFF);
-                }
+            let wake = self.next_wake().unwrap_or(limit).min(limit);
+            if wake > self.now + 1 {
+                self.skip_to(wake);
             }
         }
         if self.now < limit {
@@ -437,32 +394,17 @@ impl System {
         }
     }
 
-    /// Jumps `now` to `target`, crediting the skipped cycles to each
-    /// awake core's stall accounting; a sleeping core is credited when it
-    /// wakes. A core whose sleep a cache change has already ended is
-    /// woken first, so the window is credited from its current state. In
-    /// validating mode the skip is instead single-stepped for real,
-    /// asserting the state fingerprint never moves — proving the
-    /// engine's claim that the window was quiescent.
+    /// Jumps `now` to `target`. Every unfinished core sleeps through the
+    /// window and is credited when it wakes, so nothing is credited here.
+    /// In validating mode the window is single-stepped instead, asserting
+    /// the state fingerprint never moves — proving the engine's claim
+    /// that it was quiescent.
     fn skip_to(&mut self, target: Cycle) {
-        if self.validate_skips || cfg!(feature = "paranoid") {
+        if self.validate_skips {
             self.skip_to_checked(target);
-            return;
+        } else {
+            self.now = target;
         }
-        let n = target - self.now;
-        let epoch = self.caches.epoch();
-        for (core, sleep) in self.cores.iter_mut().zip(&mut self.sleep) {
-            match sleep {
-                Some(s) if s.epoch == epoch => continue,
-                Some(s) => {
-                    core.credit_skipped_cycles(s.credit, self.now - s.since);
-                    *sleep = None;
-                }
-                None => {}
-            }
-            core.account_skipped_cycles(n, &self.caches);
-        }
-        self.now = target;
     }
 
     fn skip_to_checked(&mut self, target: Cycle) {
@@ -781,6 +723,59 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Per-core sleep is the engine's only skip rule: `next_wake` lies
+    /// beyond the next cycle only while every unfinished core sleeps
+    /// under the current cache epoch, and a jump credits no core, because
+    /// sleepers are credited when they wake. Each `run_until` below is
+    /// one `advance`, and one to a jump target jumps without a tick.
+    #[test]
+    fn the_engine_jumps_only_while_every_core_sleeps() {
+        use proteus_workloads::{generate_contended, ContendedKind, ContendedSpec};
+        let mq = generate_contended(
+            &ContendedSpec { kind: ContendedKind::MpmcQueue, early_release: false },
+            &WorkloadParams { threads: 2, init_ops: 24, sim_ops: 12, seed: 7 },
+        );
+        for (w, scheme) in [(workload(), LoggingSchemeKind::Proteus), (mq, LoggingSchemeKind::Atom)]
+        {
+            let cfg = SystemConfig::skylake_like().with_num_cores(w.programs.len());
+            let mut sys = System::new(&cfg, scheme, &w).unwrap();
+            let mut jumps = 0;
+            while !sys.is_done() {
+                let now = sys.now();
+                let wake = sys.next_wake().expect("an unfinished machine wakes");
+                if wake <= now + 1 {
+                    sys.run_until(now + 1);
+                    continue;
+                }
+                let epoch = sys.caches.epoch();
+                for (i, (core, sleep)) in sys.cores.iter().zip(&sys.sleep).enumerate() {
+                    assert!(
+                        core.is_done() || sleep.is_some_and(|s| s.epoch == epoch),
+                        "cycle {now}: jump to {wake} with core {i} awake"
+                    );
+                }
+                let stats: Vec<_> = sys.cores.iter().map(|c| c.stats().clone()).collect();
+                let mut expected = sys.summary().core;
+                for (core, sleep) in expected.iter_mut().zip(&sys.sleep) {
+                    if let Some(s) = sleep {
+                        s.credit.add_stalls(core, wake - now);
+                    }
+                }
+                sys.run_until(wake);
+                assert_eq!(sys.now(), wake);
+                // The validating engine single-steps the window, ticking
+                // the sleepers, so only the summary is comparable there.
+                if !sys.validate_skips {
+                    let after: Vec<_> = sys.cores.iter().map(|c| c.stats().clone()).collect();
+                    assert_eq!(after, stats, "cycle {now}: the jump to {wake} credited a core");
+                }
+                assert_eq!(sys.summary().core, expected, "cycle {now}: jump to {wake}");
+                jumps += 1;
+            }
+            assert!(jumps > 0, "{scheme:?}: the machine never jumped");
         }
     }
 

@@ -5,13 +5,14 @@
 //!
 //! - [`Xoshiro256`] (xoshiro256\*\*, seeded from four splitmix64
 //!   outputs) draws the Table 2 and contended workloads;
-//! - [`SplitMix64`] draws the generated workloads and the
-//!   property runner's inputs ([`crate::prop`]).
+//! - [`SplitMix64`] draws the generated workloads, the property
+//!   runner's inputs ([`crate::prop`]) and the stratified crash points
+//!   of large crash sweeps (`proteus_crash::choose_points`).
 //!
 //! The committed golden, the workgen pin and the benchmark's pinned
 //! digests were all captured against these exact streams and their
 //! draw arithmetic, so none of it may change: a different bit here is a
-//! different workload everywhere.
+//! different workload, or a different crash point, everywhere.
 
 use std::ops::Range;
 

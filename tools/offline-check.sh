@@ -21,10 +21,12 @@ do_test() {
     # tests.
     run cargo test -q --workspace
     # Paranoid engine cross-check: re-run the fast-forward determinism
-    # suite with every skip single-stepped under fingerprint assertions
+    # suite and the engine's unit tests (the skip rule, a contended
+    # cell) with every jump single-stepped under fingerprint assertions
     # and every sleeping core ticked anyway, then the crash suite, whose
     # explorations stop mid-run at persist events with cores asleep.
     run cargo test -q -p proteus-sim --features paranoid --test integration_fastforward
+    run cargo test -q -p proteus-sim --features paranoid --lib
     run cargo test -q -p proteus-crash --features proteus-sim/paranoid --test integration_crash
     # Smoke the benchmark (perfbench/, its own workspace) with one
     # traced pass of each workload: each exits non-zero unless the
