@@ -1512,6 +1512,7 @@ mod tests {
             assert_eq!(cells(name)[1..3], ["contended", "bench+contention"], "{name}");
         }
         assert_eq!(cells("qe")[1..3], ["table2", "figures+crash+bench"]);
+        assert_eq!(cells("at")[1..3], ["table2", "figures+bench"]);
         assert_eq!(cells("ycsb-b")[1..3], ["preset", "-"]);
         for d in registry::all() {
             assert_eq!(cells(d.cli_name)[1], d.label);

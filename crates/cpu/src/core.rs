@@ -83,22 +83,16 @@ enum AtomProgress {
 #[derive(Debug, Clone)]
 enum UopState {
     None,
-    /// Load or log-load waiting on a memory fetch.
-    WaitMem,
-    /// Dependent load parked until all older loads complete (pointer
-    /// chasing).
+    /// Load or log-load parked until it is the oldest incomplete load
+    /// (pointer chasing).
     WaitDeps,
     /// sfence / pcommit / tx-end retirement gating.
     Fence(FenceProgress),
     /// ATOM store logging at the ROB head.
     Atom(AtomProgress),
-    /// Proteus log-flush bookkeeping.
-    LogFlush {
-        logq_id: Option<u64>,
-        elided: bool,
-    },
-    /// Proteus log-load waiting on its grain fetch.
-    LogLoad,
+    /// A `log-load` or `log-flush` the LLT elided (§4.2): it took no
+    /// load-queue or LogQ entry.
+    Elided,
 }
 
 #[derive(Debug)]
@@ -117,11 +111,23 @@ struct StoreEntry {
     retired: bool,
 }
 
+/// A retired clwb; `ack_id` is set once it has performed and awaits the
+/// controller's acknowledgement.
 #[derive(Debug, Clone)]
 struct PendingClwb {
     addr: Addr,
-    performed: bool,
     ack_id: Option<u64>,
+}
+
+/// What sending a LogQ entry needs: its log register, its log-area entry
+/// sequence number, its transaction, and the ROB seq of its `log-flush`
+/// uop, which completes on the send.
+#[derive(Debug, Clone, Copy)]
+struct FlushMeta {
+    lr: usize,
+    entry_seq: u64,
+    tx: TxId,
+    uop_seq: u64,
 }
 
 #[derive(Debug, Default)]
@@ -211,7 +217,7 @@ pub struct Core {
     lrs: LogRegFile,
     logarea: LogArea,
     current_tx: Option<TxId>,
-    flush_meta: FastMap<u64, (usize, u64, TxId)>, // logq_id -> (lr, entry seq, tx)
+    flush_meta: FastMap<u64, FlushMeta>, // by LogQ id
     /// Fault-injection knob (see `ProteusHwConfig::disable_persist_ordering`):
     /// stores skip the write-ahead gate and ready flushes are buffered in
     /// `held_flushes` until the commit fence instead of being sent.
@@ -223,8 +229,9 @@ pub struct Core {
 
     mshr: FastMap<u64, MshrEntry>,
     req_lines: FastMap<u64, LineAddr>,
+    /// Dispatched loads, unelided log-loads and wait-values not yet
+    /// complete. Only the oldest may issue from `WaitDeps`.
     incomplete_loads: std::collections::BTreeSet<u64>,
-    parked_loads: Vec<u64>,
     next_local_id: u64,
 
     out: Vec<(Cycle, McRequest)>,
@@ -302,7 +309,6 @@ impl Core {
                 Default::default(),
             ),
             incomplete_loads: std::collections::BTreeSet::new(),
-            parked_loads: Vec::with_capacity(cfg.cores.loadq_entries),
             next_local_id: 0,
             out: Vec::with_capacity(32),
             wb_scratch: Vec::with_capacity(8),
@@ -469,7 +475,7 @@ impl Core {
             );
         }
         self.process_completions(now);
-        self.issue_parked_loads(now, caches);
+        self.issue_parked_load(now, caches);
         self.send_ready_flushes(now);
         self.retire(now, caches);
         self.release_stores(now, caches);
@@ -577,88 +583,88 @@ impl Core {
         }
     }
 
-    /// Issues parked dependent loads whose older loads have all completed
-    /// (the pointer-chasing serialisation).
-    fn issue_parked_loads<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
-        if self.parked_loads.is_empty() {
-            return;
+    /// Issues the load-type uop `uop` (sequence `seq`: a `load`, a
+    /// `log-load` or a `wait-value`) to the memory hierarchy, at dispatch
+    /// or once a parked load's turn has come. A load or wait-value takes
+    /// its word from an older unreleased store when one writes it.
+    /// Otherwise the cache is probed: a hit completes after its latency,
+    /// filling a log-load's register with the grain overlaid by older
+    /// stores, and a miss fetches the line and waits in its MSHR entry.
+    /// Returns the completion cycle, or `None` while the fetch is out.
+    fn issue_load<C: CacheAccess>(
+        &mut self,
+        seq: u64,
+        uop: Uop,
+        now: Cycle,
+        caches: &mut C,
+    ) -> Option<Cycle> {
+        let (addr, log_lr) = match uop {
+            Uop::Load { addr, .. } | Uop::WaitValue { addr, .. } => (addr, None),
+            Uop::LogLoad { lr, addr } => (addr, Some(lr.0 as usize)),
+            _ => unreachable!("only loads issue"),
+        };
+        if log_lr.is_none() && self.forwarded_word(addr, seq).is_some() {
+            return Some(now + self.l1_latency);
         }
-        let mut still_parked = Vec::new();
-        for seq in std::mem::take(&mut self.parked_loads) {
-            if self.incomplete_loads.range(..seq).next().is_some() {
-                still_parked.push(seq);
-                continue;
-            }
-            let Some(idx) = self.rob_index(seq) else { continue };
-            match self.rob[idx].uop {
-                Uop::Load { addr, .. } => {
-                    if self.forwarded_word(addr, seq).is_some() {
-                        self.rob[idx].state = UopState::None;
-                        self.complete_at(seq, now + self.l1_latency);
-                    } else {
-                        match caches.load(self.id, addr, &mut self.wb_scratch) {
-                            LookupResult::Hit { latency, .. } => {
-                                self.rob[idx].state = UopState::None;
-                                self.complete_at(seq, now + latency);
-                            }
-                            LookupResult::Miss => {
-                                self.rob[idx].state = UopState::WaitMem;
-                                self.issue_fetch(addr.line(), now);
-                                self.mshr
-                                    .get_mut(&addr.line().index())
-                                    .expect("fetch registered")
-                                    .load_waiters
-                                    .push(seq);
-                            }
-                        }
-                    }
+        let done = match caches.load(self.id, addr, &mut self.wb_scratch) {
+            LookupResult::Hit { latency, data } => {
+                if let Some(lr) = log_lr {
+                    let value = self.grain_with_overlay(&data, addr.log_grain(), seq);
+                    self.lrs.fill(lr, value);
                 }
-                Uop::LogLoad { lr, addr } => {
-                    let lr = lr.0 as usize;
-                    let grain = addr.log_grain();
-                    match caches.load(self.id, addr, &mut self.wb_scratch) {
-                        LookupResult::Hit { latency, data } => {
-                            let value = self.grain_with_overlay(&data, grain, seq);
-                            self.lrs.fill(lr, value);
-                            self.rob[idx].state = UopState::LogLoad;
-                            self.complete_at(seq, now + latency);
-                        }
-                        LookupResult::Miss => {
-                            self.rob[idx].state = UopState::WaitMem;
-                            self.issue_fetch(addr.line(), now);
-                            self.mshr
-                                .get_mut(&addr.line().index())
-                                .expect("fetch registered")
-                                .logload_waiters
-                                .push((seq, lr));
-                        }
-                    }
-                }
-                _ => unreachable!("only loads park"),
+                Some(now + latency)
             }
-            self.flush_writebacks(now);
-        }
-        self.parked_loads = still_parked;
+            LookupResult::Miss => {
+                self.issue_fetch(addr.line(), now);
+                let waiters = self.mshr.get_mut(&addr.line().index()).expect("fetch registered");
+                match log_lr {
+                    Some(lr) => waiters.logload_waiters.push((seq, lr)),
+                    None => waiters.load_waiters.push(seq),
+                }
+                None
+            }
+        };
+        self.flush_writebacks(now);
+        done
     }
 
-    /// Sends log flushes whose log-load data has arrived. Flushes issue
-    /// concurrently — the paper's key advantage over ATOM.
-    fn send_ready_flushes(&mut self, now: Cycle) {
-        if self.logq.is_empty() && self.held_flushes.is_empty() {
+    /// Issues the parked load whose turn has come (the pointer-chasing
+    /// serialisation). A load parks until every older load has completed,
+    /// i.e. until it is the oldest incomplete load; issuing it keeps it
+    /// incomplete, which holds every younger one. So only the oldest
+    /// incomplete load can issue here, and only on the tick that
+    /// completes the load ahead of it.
+    fn issue_parked_load<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
+        let Some(&seq) = self.incomplete_loads.first() else { return };
+        let idx = self.rob_index(seq).expect("an incomplete load is in the ROB");
+        let entry = &mut self.rob[idx];
+        if !matches!(entry.state, UopState::WaitDeps) {
             return;
         }
-        let ready: Vec<(u64, Addr)> = self
-            .logq
+        entry.state = UopState::None;
+        let uop = entry.uop;
+        if let Some(at) = self.issue_load(seq, uop, now, caches) {
+            self.complete_at(seq, at);
+        }
+    }
+
+    /// The log-flush send gate, shared by [`Core::send_ready_flushes`] and
+    /// the sleep decision: the oldest unsent LogQ entry whose log register
+    /// holds the log-load's data, as its id and log-to slot.
+    fn next_ready_flush(&self) -> Option<(u64, Addr)> {
+        self.logq
             .unsent()
-            .filter_map(|e| {
-                let (lr, _, _) = self.flush_meta.get(&e.id)?;
-                self.lrs.data(*lr).map(|_| (e.id, e.slot))
-            })
-            .collect();
-        for (id, slot) in ready {
-            let (lr, entry_seq, tx) = self.flush_meta[&id];
+            .find(|e| self.flush_meta.get(&e.id).is_some_and(|m| self.lrs.data(m.lr).is_some()))
+            .map(|e| (e.id, e.slot))
+    }
+
+    /// Sends log flushes whose log-load data has arrived, in LogQ order.
+    /// Flushes issue concurrently — the paper's key advantage over ATOM.
+    fn send_ready_flushes(&mut self, now: Cycle) {
+        while let Some((id, slot)) = self.next_ready_flush() {
+            let FlushMeta { lr, entry_seq, tx, uop_seq } = self.flush_meta[&id];
             let grain = self.lrs.grain(lr).expect("LR allocated");
-            let data = self.lrs.data(lr).expect("checked above");
+            let data = self.lrs.data(lr).expect("checked by the gate");
             // The flush has consumed the register value; the LR is "no
             // longer needed for detecting register dependences" (§4.2)
             // and recycles immediately — this is what makes 8 LRs enough.
@@ -687,15 +693,10 @@ impl Core {
                 self.logq.mark_sent(id);
             }
             // The flush micro-op has executed; it may now retire. The
-            // LogQ entry lives on until the ack.
-            if let Some(idx) = self.rob.iter().position(
-                |e| matches!(&e.state, UopState::LogFlush { logq_id: Some(q), .. } if *q == id),
-            ) {
-                let seq = self.rob[idx].seq;
-                if !self.rob[idx].completed {
-                    self.complete_at(seq, now + 1);
-                }
-            }
+            // LogQ entry lives on until the ack. Nothing else completes
+            // the uop, so it is still waiting in the ROB.
+            debug_assert!(self.rob_index(uop_seq).is_some_and(|i| !self.rob[i].completed));
+            self.complete_at(uop_seq, now + 1);
         }
         self.release_held_flushes(now);
     }
@@ -747,6 +748,16 @@ impl Core {
             && self.atom_acks_outstanding == 0
     }
 
+    /// Whether the trace has dispatched and everything it started has
+    /// drained. [`Core::check_done`] finishes the core on it, and the
+    /// sleep decision wakes the core for that tick.
+    fn fully_drained(&self) -> bool {
+        self.pc >= self.trace.uops.len()
+            && self.rob.is_empty()
+            && self.storeq.is_empty()
+            && self.persist_drained()
+    }
+
     /// Attributes one blocked `tx-end` cycle to the first undrained
     /// persist category, mirroring [`Core::persist_drained`]'s clauses in
     /// the order the pipeline drains them. Trace-only.
@@ -788,15 +799,22 @@ impl Core {
         });
     }
 
+    /// Retires up to `width` completed uops in order. Each head first
+    /// passes [`Core::retire_blocked`]; the first it holds ends the
+    /// cycle's retirement after [`Core::blocked_retire`].
     fn retire<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
         for _ in 0..self.width {
             let Some(head) = self.rob.front() else { break };
             if !head.completed {
                 break;
             }
-            let seq = head.seq;
-            let uop = head.uop;
-            // Per-kind retirement gating.
+            if self.retire_blocked(head, caches) {
+                self.blocked_retire();
+                break;
+            }
+            let (seq, uop) = (head.seq, head.uop);
+            let elided = matches!(head.state, UopState::Elided);
+            let fence_waiting = matches!(head.state, UopState::Fence(FenceProgress::Waiting));
             match uop {
                 Uop::Store { addr, .. } => {
                     if self.policy.atom_retirement
@@ -818,109 +836,60 @@ impl Core {
                     }
                 }
                 Uop::Clwb { addr } => {
-                    self.pending_clwbs.push(PendingClwb { addr, performed: false, ack_id: None });
+                    self.pending_clwbs.push(PendingClwb { addr, ack_id: None });
                     self.stats.clwbs += 1;
                 }
-                Uop::Sfence => {
-                    if !self.persist_drained() {
-                        break;
+                // A drained pcommit or tx-end first sends its request; the
+                // gate then holds it until the controller's completion.
+                Uop::Pcommit if fence_waiting => {
+                    self.rob[0].state = UopState::Fence(FenceProgress::Sent);
+                    let commit_id = self.fresh_id();
+                    self.out.push((now + UNCACHED_DELAY, McRequest::Pcommit { commit_id }));
+                    break;
+                }
+                Uop::TxEnd { tx } if fence_waiting => {
+                    self.rob[0].state = UopState::Fence(FenceProgress::Sent);
+                    self.out.push((now + UNCACHED_DELAY, McRequest::TxEnd { core: self.id, tx }));
+                    if let Some(path) = self.tx_path.as_mut() {
+                        path.commit_request = Some(now);
+                        self.tracer.emit(now, TraceEventKind::TxCommitRequest { tx: tx.raw() });
                     }
+                    break;
+                }
+                Uop::Sfence | Uop::Pcommit => {
                     self.fence_active = false;
                     self.stats.fences += 1;
                 }
-                Uop::Pcommit => {
-                    if !self.persist_drained() {
-                        break;
-                    }
-                    let head = self.rob.front_mut().expect("head exists");
-                    match &mut head.state {
-                        UopState::Fence(p @ FenceProgress::Waiting) => {
-                            *p = FenceProgress::Sent;
-                            let commit_id = self.fresh_id();
-                            self.out.push((now + UNCACHED_DELAY, McRequest::Pcommit { commit_id }));
-                            break;
-                        }
-                        UopState::Fence(FenceProgress::Sent) => break,
-                        UopState::Fence(FenceProgress::Done) => {
-                            self.fence_active = false;
-                            self.stats.fences += 1;
-                        }
-                        _ => unreachable!("pcommit carries fence state"),
-                    }
-                }
                 Uop::TxEnd { tx } => {
-                    if !self.persist_drained() {
-                        self.trace_commit_wait();
-                        break;
-                    }
-                    let head = self.rob.front_mut().expect("head exists");
-                    match &mut head.state {
-                        UopState::Fence(p @ FenceProgress::Waiting) => {
-                            *p = FenceProgress::Sent;
-                            self.out.push((
-                                now + UNCACHED_DELAY,
-                                McRequest::TxEnd { core: self.id, tx },
-                            ));
-                            if let Some(path) = self.tx_path.as_mut() {
-                                path.commit_request = Some(now);
-                                self.tracer
-                                    .emit(now, TraceEventKind::TxCommitRequest { tx: tx.raw() });
-                            }
-                            break;
-                        }
-                        UopState::Fence(FenceProgress::Sent) => {
-                            if let Some(path) = self.tx_path.as_mut() {
-                                path.wait.mc_commit += 1;
-                            }
-                            break;
-                        }
-                        UopState::Fence(FenceProgress::Done) => {
-                            self.llt.clear();
-                            self.atom_logged.clear();
-                            self.current_tx = None;
-                            self.fence_active = false;
-                            self.stats.transactions += 1;
-                            self.trace_tx_durable(tx, now);
-                        }
-                        _ => unreachable!("tx-end carries fence state"),
-                    }
+                    self.llt.clear();
+                    self.atom_logged.clear();
+                    self.current_tx = None;
+                    self.fence_active = false;
+                    self.stats.transactions += 1;
+                    self.trace_tx_durable(tx, now);
                 }
-                Uop::TxBegin { .. } => {}
-                Uop::Load { .. } => {
+                Uop::TxBegin { .. } | Uop::Compute { .. } => {}
+                Uop::Load { .. } | Uop::WaitValue { .. } => {
                     self.loads_in_rob -= 1;
                     self.stats.loads += 1;
                 }
                 Uop::LogLoad { .. } => {
-                    // Elided pairs (state None) never occupied the load
-                    // queue.
-                    let head = self.rob.front().expect("head exists");
-                    if matches!(head.state, UopState::LogLoad | UopState::WaitMem) {
+                    if !elided {
                         self.loads_in_rob -= 1;
                     }
                     self.stats.log_loads += 1;
                 }
                 Uop::LogFlush { .. } => {
-                    let head = self.rob.front().expect("head exists");
-                    if let UopState::LogFlush { elided, .. } = head.state {
-                        self.stats.log_flushes += 1;
-                        if elided {
-                            self.stats.log_flushes_elided += 1;
-                        }
+                    self.stats.log_flushes += 1;
+                    if elided {
+                        self.stats.log_flushes_elided += 1;
                     }
                 }
                 Uop::LogSave => {
-                    if !self.persist_drained() {
-                        break;
-                    }
                     self.out
                         .push((now + UNCACHED_DELAY, McRequest::DrainCoreLogs { core: self.id }));
                     self.llt.clear();
                     self.fence_active = false;
-                }
-                Uop::Compute { .. } => {}
-                Uop::WaitValue { .. } => {
-                    self.loads_in_rob -= 1;
-                    self.stats.loads += 1;
                 }
             }
             self.rob.pop_front();
@@ -928,8 +897,32 @@ impl Core {
         }
     }
 
+    /// What a retire attempt [`Core::retire_blocked`] holds still does. An
+    /// ATOM store's first attempt marks it `Atom(NeedLine)`, which
+    /// [`Core::rob_full_cause`] reads to charge a full ROB to the log
+    /// wait. A held `tx-end` charges the cycle to the trace's commit-wait
+    /// split.
+    fn blocked_retire(&mut self) {
+        let head = self.rob.front_mut().expect("the gate saw a head");
+        match (head.uop, &mut head.state) {
+            (Uop::Store { .. }, s @ UopState::None) => *s = UopState::Atom(AtomProgress::NeedLine),
+            (Uop::TxEnd { .. }, _) => self.trace_commit_wait(),
+            _ => {}
+        }
+    }
+
+    /// Whether an unreleased store older than `before_seq` writes into
+    /// `grain`: its pre-store value must fold that store in.
+    fn older_store_to_grain(&self, grain: LogGrainAddr, before_seq: u64) -> bool {
+        let base = grain.base();
+        (0..4).any(|i| self.forwarded_word(base.offset(i * 8), before_seq).is_some())
+    }
+
     /// ATOM: a transactional store at the ROB head may retire only once
-    /// its grain's log entry is durable at the memory controller.
+    /// its grain's log entry is durable at the memory controller. Past
+    /// [`Core::retire_blocked`], the store is logged already, acknowledged,
+    /// or about to send its log entry (or fetch the line that entry's
+    /// overlay needs).
     fn atom_retire_ready<C: CacheAccess>(
         &mut self,
         addr: Addr,
@@ -941,84 +934,70 @@ impl Core {
             return true;
         }
         let head = self.rob.front_mut().expect("caller checked");
-        let progress = match &mut head.state {
-            UopState::Atom(p) => p,
-            s @ UopState::None => {
-                *s = UopState::Atom(AtomProgress::NeedLine);
-                match s {
-                    UopState::Atom(p) => p,
-                    _ => unreachable!(),
-                }
-            }
-            _ => unreachable!("store carries Atom or None state"),
-        };
-        match *progress {
-            AtomProgress::NeedLine => {
-                let head_seq = self.rob.front().expect("caller checked").seq;
-                // Any older unreleased store to this grain must be folded
-                // into the pre-store value (it is architecturally older).
-                let grain_base = grain.base();
-                let overlay_needed = (0..4)
-                    .any(|i| self.forwarded_word(grain_base.offset(i * 8), head_seq).is_some());
-                let old_data = match caches.peek(self.id, addr) {
-                    Some(data) => Some(self.grain_with_overlay(&data, grain, head_seq)),
-                    None if overlay_needed => {
-                        // Rare: the MC cannot see the in-flight stores, so
-                        // fetch the line and retry next cycle.
-                        self.issue_fetch(addr.line(), now);
-                        return false;
-                    }
-                    // Source-log optimisation: the MC reads the grain from
-                    // its own WPQ/NVMM view — no core-side fetch.
-                    None => None,
-                };
-                let log_id = self.fresh_id();
-                let tx = self.current_tx.expect("in transaction");
-                self.out.push((
-                    now + UNCACHED_DELAY,
-                    McRequest::AtomLog { grain: grain_base, old_data, core: self.id, tx, log_id },
-                ));
-                self.atom_acks_outstanding += 1;
-                self.atom_logged.insert(grain.index());
-                if let Some(h) = self.rob.front_mut() {
-                    h.state = UopState::Atom(AtomProgress::WaitAck);
-                }
-                self.stats.atom_log_entries += 1;
-                false
-            }
-            AtomProgress::WaitAck => false,
-            AtomProgress::Done => {
-                if let Some(h) = self.rob.front_mut() {
-                    h.state = UopState::None;
-                }
-                true
-            }
+        let head_seq = head.seq;
+        if let UopState::Atom(AtomProgress::Done) = head.state {
+            head.state = UopState::None;
+            return true;
         }
+        head.state = UopState::Atom(AtomProgress::NeedLine);
+        // Any older unreleased store to this grain must be folded into the
+        // pre-store value (it is architecturally older).
+        let old_data = match caches.peek(self.id, addr) {
+            Some(data) => Some(self.grain_with_overlay(&data, grain, head_seq)),
+            None if self.older_store_to_grain(grain, head_seq) => {
+                // Rare: the MC cannot see the in-flight stores, so fetch
+                // the line and retry once it lands.
+                self.issue_fetch(addr.line(), now);
+                return false;
+            }
+            // Source-log optimisation: the MC reads the grain from its own
+            // WPQ/NVMM view — no core-side fetch.
+            None => None,
+        };
+        let log_id = self.fresh_id();
+        let tx = self.current_tx.expect("in transaction");
+        self.out.push((
+            now + UNCACHED_DELAY,
+            McRequest::AtomLog { grain: grain.base(), old_data, core: self.id, tx, log_id },
+        ));
+        self.atom_acks_outstanding += 1;
+        self.atom_logged.insert(grain.index());
+        self.rob[0].state = UopState::Atom(AtomProgress::WaitAck);
+        self.stats.atom_log_entries += 1;
+        false
     }
 
-    /// Releases retired stores from the store queue to the cache, in
-    /// order, one per cycle, subject to the write-ahead constraint. The
-    /// write-allocate fetch was prefetched at dispatch; the peek below is
-    /// a fallback for lines evicted in between.
-    fn release_stores<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
-        let Some(head) = self.storeq.front().copied() else { return };
-        if !head.retired {
-            return;
-        }
+    /// The store-release gate, shared by [`Core::release_stores`] and the
+    /// sleep decision. The store-queue head moves this cycle once it has
+    /// retired and the write-ahead rule no longer holds it: it releases
+    /// into its resident line, or issues the write-allocate fetch if none
+    /// is in flight. Returns the head and whether its line is resident.
+    fn releasable_store<C: CacheAccess>(&self, caches: &C) -> Option<(StoreEntry, bool)> {
+        let head = *self.storeq.front()?;
         // Write-ahead ordering: an unacknowledged log flush for this grain
         // blocks the release (Proteus §4.2). ATOM blocks at retirement
         // instead; software schemes order via sfence. The fault knob
         // removes exactly this gate.
-        if self.policy.proteus_hw
-            && !self.persist_ordering_disabled
-            && self.logq.blocks_store_to(head.addr.log_grain())
+        if !head.retired
+            || (self.policy.proteus_hw
+                && !self.persist_ordering_disabled
+                && self.logq.blocks_store_to(head.addr.log_grain()))
         {
-            return;
+            return None;
         }
-        // Write-allocate: only attempt the store once the line is
-        // resident (the prefetch above fetched it); peeking avoids
-        // polluting LRU/statistics with per-cycle retries.
-        if caches.peek(self.id, head.addr).is_none() {
+        let resident = caches.peek(self.id, head.addr).is_some();
+        (resident || !self.mshr.contains_key(&head.addr.line().index())).then_some((head, resident))
+    }
+
+    /// Releases retired stores from the store queue to the cache, in
+    /// order, one per cycle, through [`Core::releasable_store`]. The
+    /// write-allocate fetch was prefetched at dispatch; the fetch here is
+    /// a fallback for lines evicted in between. Only a resident line is
+    /// stored to: peeking first keeps per-cycle retries out of the LRU
+    /// state and statistics.
+    fn release_stores<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
+        let Some((head, resident)) = self.releasable_store(caches) else { return };
+        if !resident {
             self.issue_fetch(head.addr.line(), now);
             return;
         }
@@ -1045,37 +1024,39 @@ impl Core {
         self.flush_writebacks(now);
     }
 
-    /// Performs retired clwbs whose same-line older stores have released.
+    /// The clwb gate, shared by [`Core::process_clwbs`] and the sleep
+    /// decision: a retired clwb performs once no unreleased store to its
+    /// line is left. This conservative O(1) check stands in for "older
+    /// stores only"; unreleased younger same-line stores are rare and the
+    /// extra delay is harmless, since release is in order anyway.
+    fn clwb_ready(&self, c: &PendingClwb) -> bool {
+        c.ack_id.is_none() && !self.storeq_lines.contains_key(&c.addr.line().index())
+    }
+
+    /// Performs the retired clwbs [`Core::clwb_ready`] lets through. One
+    /// whose line is cached nowhere has nothing to write back and is done.
     fn process_clwbs<C: CacheAccess>(&mut self, now: Cycle, caches: &mut C) {
-        let mut to_remove = Vec::new();
-        for i in 0..self.pending_clwbs.len() {
-            if self.pending_clwbs[i].performed {
-                continue;
-            }
+        let mut i = 0;
+        while i < self.pending_clwbs.len() {
             let addr = self.pending_clwbs[i].addr;
-            let line = addr.line();
-            // Conservative O(1) check: any unreleased store to the same
-            // line blocks the flush (the precise rule is "older stores
-            // only"; unreleased younger same-line stores are rare and the
-            // extra delay is harmless — release is in order anyway).
-            if self.storeq_lines.contains_key(&line.index()) {
+            if !self.clwb_ready(&self.pending_clwbs[i]) {
+                i += 1;
                 continue;
             }
             match caches.clwb(self.id, addr) {
                 Some(data) => {
                     let ack_id = self.fresh_id();
-                    self.pending_clwbs[i].performed = true;
                     self.pending_clwbs[i].ack_id = Some(ack_id);
                     self.out.push((
                         now + MISS_PATH_DELAY,
-                        McRequest::WriteBack { line, data, ack_id: Some(ack_id) },
+                        McRequest::WriteBack { line: addr.line(), data, ack_id: Some(ack_id) },
                     ));
+                    i += 1;
                 }
-                None => to_remove.push(i),
+                None => {
+                    self.pending_clwbs.remove(i);
+                }
             }
-        }
-        for i in to_remove.into_iter().rev() {
-            self.pending_clwbs.remove(i);
         }
     }
 
@@ -1164,31 +1145,14 @@ impl Core {
                 self.last_compute_done = done;
                 complete_at = Some(done);
             }
-            Uop::Load { addr, dependent } => {
+            Uop::Load { dependent, .. } => {
                 self.loads_in_rob += 1;
                 self.incomplete_loads.insert(seq);
-                if dependent && self.incomplete_loads.range(..seq).next().is_some() {
+                if dependent && self.incomplete_loads.first() != Some(&seq) {
                     // Pointer chase: park until older loads complete.
                     state = UopState::WaitDeps;
-                    self.parked_loads.push(seq);
-                } else if self.forwarded_word(addr, seq).is_some() {
-                    complete_at = Some(now + self.l1_latency);
                 } else {
-                    match caches.load(self.id, addr, &mut self.wb_scratch) {
-                        LookupResult::Hit { latency, .. } => {
-                            complete_at = Some(now + latency);
-                        }
-                        LookupResult::Miss => {
-                            state = UopState::WaitMem;
-                            self.issue_fetch(addr.line(), now);
-                            self.mshr
-                                .get_mut(&addr.line().index())
-                                .expect("just inserted")
-                                .load_waiters
-                                .push(seq);
-                        }
-                    }
-                    self.flush_writebacks(now);
+                    complete_at = self.issue_load(seq, uop, now, caches);
                 }
             }
             Uop::Store { addr, value } => {
@@ -1254,6 +1218,7 @@ impl Core {
                 assert!(allocated, "the dispatch gate found LR{lr} free");
                 if elided {
                     self.stats.llt_hits += 1;
+                    state = UopState::Elided;
                     complete_at = Some(now + 1);
                 } else {
                     self.loads_in_rob += 1;
@@ -1269,27 +1234,10 @@ impl Core {
                     // guards) derives from earlier loads, so it issues
                     // once older loads complete — by which time the grain
                     // is normally cached and the LR recycles quickly.
-                    if self.incomplete_loads.range(..seq).next().is_some() {
-                        state = UopState::WaitDeps;
-                        self.parked_loads.push(seq);
+                    if self.incomplete_loads.first() == Some(&seq) {
+                        complete_at = self.issue_load(seq, uop, now, caches);
                     } else {
-                        state = UopState::LogLoad;
-                        match caches.load(self.id, addr, &mut self.wb_scratch) {
-                            LookupResult::Hit { latency, data } => {
-                                let value = self.grain_with_overlay(&data, grain, seq);
-                                self.lrs.fill(lr, value);
-                                complete_at = Some(now + latency);
-                            }
-                            LookupResult::Miss => {
-                                self.issue_fetch(addr.line(), now);
-                                self.mshr
-                                    .get_mut(&addr.line().index())
-                                    .expect("just inserted")
-                                    .logload_waiters
-                                    .push((seq, lr));
-                            }
-                        }
-                        self.flush_writebacks(now);
+                        state = UopState::WaitDeps;
                     }
                 }
             }
@@ -1302,7 +1250,7 @@ impl Core {
                     // immediately, no log-to address (§4.2). The LR
                     // recycles now.
                     self.lrs.free(lr);
-                    state = UopState::LogFlush { logq_id: None, elided: true };
+                    state = UopState::Elided;
                     complete_at = Some(now + 1);
                 } else {
                     let tx = self.current_tx.expect("logging inside a transaction");
@@ -1317,7 +1265,7 @@ impl Core {
                         }
                     };
                     let id = self.logq.alloc(grain, slot);
-                    self.flush_meta.insert(id, (lr, entry_seq, tx));
+                    self.flush_meta.insert(id, FlushMeta { lr, entry_seq, tx, uop_seq: seq });
                     self.tracer.emit(
                         now,
                         TraceEventKind::Enqueue {
@@ -1325,7 +1273,6 @@ impl Core {
                             occupancy: self.logq.len() as u32,
                         },
                     );
-                    state = UopState::LogFlush { logq_id: Some(id), elided: false };
                     // Completion is scheduled by `send_ready_flushes` once
                     // the log-load data lands in the LR.
                 }
@@ -1345,26 +1292,16 @@ impl Core {
                 self.incomplete_loads.insert(seq);
                 self.lock_acquires += 1;
                 self.tracer.emit(now, TraceEventKind::LockAcquire { addr: addr.raw() });
-                if self.forwarded_word(addr, seq).is_some() {
-                    complete_at = Some(now + self.l1_latency);
-                } else {
-                    match caches.load(self.id, addr, &mut self.wb_scratch) {
-                        LookupResult::Hit { latency, .. } => {
-                            complete_at = Some(now + latency);
-                        }
-                        LookupResult::Miss => unreachable!("the gate saw the lock line resident"),
-                    }
-                    self.flush_writebacks(now);
-                }
+                let done = self.issue_load(seq, uop, now, caches);
+                complete_at = Some(done.expect("the gate saw the lock line resident"));
             }
         }
+        // Every uop not complete at dispatch executes until it is.
+        if !completed {
+            self.inflight_exec += 1;
+        }
         if let Some(c) = complete_at {
-            self.inflight_exec += 1;
             self.complete_at(seq, c);
-        } else if matches!(state, UopState::WaitMem | UopState::WaitDeps | UopState::LogLoad)
-            || matches!(state, UopState::LogFlush { logq_id: Some(_), .. })
-        {
-            self.inflight_exec += 1;
         }
         self.rob.push_back(RobEntry { seq, uop, completed, state });
         self.next_seq += 1;
@@ -1372,14 +1309,7 @@ impl Core {
     }
 
     fn check_done(&mut self, now: Cycle) {
-        if self.done_at.is_none()
-            && self.pc >= self.trace.uops.len()
-            && self.rob.is_empty()
-            && self.storeq.is_empty()
-            && self.pending_clwbs.is_empty()
-            && self.logq.is_empty()
-            && self.atom_acks_outstanding == 0
-        {
+        if self.done_at.is_none() && self.fully_drained() {
             self.done_at = Some(now);
             self.stats.cycles = now;
         }
@@ -1473,20 +1403,19 @@ impl Core {
         }
     }
 
-    /// Whether the completed uop at the ROB head cannot retire this cycle
-    /// for a reason no core-local ticking will fix — i.e. retirement is
-    /// waiting on an external event (a memory response, a controller
-    /// ack). Mirrors [`Core::retire`]'s gating exactly; anything this
-    /// cannot cheaply rule out counts as unblocked (a wasted step is
-    /// safe, a missed wake is not).
-    fn head_blocked<C: CacheAccess>(&self, head: &RobEntry, caches: &C) -> bool {
+    /// The retirement gate, shared by [`Core::retire`] and the sleep
+    /// decision: whether the completed uop at the ROB head cannot retire
+    /// this cycle, waiting on an external event (a persist ack, a memory
+    /// response, a controller completion). A fence waits until older
+    /// persists drain and, once a pcommit or tx-end has sent its request,
+    /// for the controller's answer. An ATOM store waits for its log
+    /// entry's ack, or for the in-flight fetch of the line its log entry's
+    /// overlay needs.
+    fn retire_blocked<C: CacheAccess>(&self, head: &RobEntry, caches: &C) -> bool {
         match (&head.uop, &head.state) {
-            // A sent fence waits for the controller's completion event.
-            (_, UopState::Fence(FenceProgress::Sent)) => true,
-            (Uop::Pcommit | Uop::TxEnd { .. }, UopState::Fence(FenceProgress::Waiting)) => {
-                !self.persist_drained()
+            (Uop::Sfence | Uop::Pcommit | Uop::TxEnd { .. } | Uop::LogSave, state) => {
+                matches!(state, UopState::Fence(FenceProgress::Sent)) || !self.persist_drained()
             }
-            (Uop::Sfence | Uop::LogSave, _) => !self.persist_drained(),
             (Uop::Store { addr, .. }, state)
                 if self.policy.atom_retirement && self.current_tx.is_some() =>
             {
@@ -1496,21 +1425,12 @@ impl Core {
                 }
                 match state {
                     UopState::Atom(AtomProgress::WaitAck) => true,
-                    UopState::Atom(AtomProgress::NeedLine) | UopState::None => {
-                        // The retry makes progress unless it is waiting
-                        // for an in-flight overlay fetch: a resident line
-                        // (or no overlay requirement) sends the log
-                        // entry, and an absent MSHR entry means the retry
-                        // issues the fetch itself.
-                        let grain_base = grain.base();
-                        let overlay_needed = (0..4).any(|i| {
-                            self.forwarded_word(grain_base.offset(i * 8), head.seq).is_some()
-                        });
-                        overlay_needed
+                    UopState::Atom(AtomProgress::Done) => false,
+                    _ => {
+                        self.mshr.contains_key(&addr.line().index())
                             && caches.peek(self.id, *addr).is_none()
-                            && self.mshr.contains_key(&addr.line().index())
+                            && self.older_store_to_grain(grain, head.seq)
                     }
-                    _ => false,
                 }
             }
             _ => false,
@@ -1532,40 +1452,25 @@ impl Core {
             return Some(now);
         }
         // `check_done` fires on the tick *after* the final drain.
-        if self.pc >= self.trace.uops.len()
-            && self.rob.is_empty()
-            && self.storeq.is_empty()
-            && self.pending_clwbs.is_empty()
-            && self.logq.is_empty()
-            && self.atom_acks_outstanding == 0
-        {
+        if self.fully_drained() {
             return Some(now);
         }
         // Every other source either wants this very cycle, which no later
         // source can beat, or is the next completion; so each returns as
         // soon as it fires, cheapest first. The system asks after every
-        // tick whether a core may sleep, and busy cores answer early.
+        // tick whether a core may sleep, and busy cores answer early. A
+        // parked load issues on the tick that completes the load ahead of
+        // it (see `issue_parked_load`), so the completion covers it; every
+        // other stage moves exactly when its own gate lets it.
         let completion = self.completions.peek().map(|&Reverse((at, _))| at.max(now));
         if completion == Some(now) || !self.held_flushes.is_empty() {
             return Some(now);
         }
-        // Retirement progress at the ROB head.
-        if let Some(head) = self.rob.front() {
-            if head.completed && !self.head_blocked(head, caches) {
-                return Some(now);
-            }
+        if self.rob.front().is_some_and(|h| h.completed && !self.retire_blocked(h, caches)) {
+            return Some(now);
         }
-        // The head store releases (or issues its write-allocate fetch).
-        if let Some(s) = self.storeq.front() {
-            if s.retired
-                && !(self.policy.proteus_hw
-                    && !self.persist_ordering_disabled
-                    && self.logq.blocks_store_to(s.addr.log_grain()))
-                && (caches.peek(self.id, s.addr).is_some()
-                    || !self.mshr.contains_key(&s.addr.line().index()))
-            {
-                return Some(now);
-            }
+        if self.releasable_store(caches).is_some() {
+            return Some(now);
         }
         if self.pc < self.trace.uops.len() {
             match self.dispatch_stall_cause(caches) {
@@ -1585,18 +1490,9 @@ impl Core {
                 Some(_) => {}
             }
         }
-        // A clwb with no unreleased same-line store performs next tick.
-        if self
-            .pending_clwbs
-            .iter()
-            .any(|c| !c.performed && !self.storeq_lines.contains_key(&c.addr.line().index()))
+        if self.pending_clwbs.iter().any(|c| self.clwb_ready(c))
+            || self.next_ready_flush().is_some()
         {
-            return Some(now);
-        }
-        // A log flush whose log-load data has arrived sends next tick.
-        if self.logq.unsent().any(|e| {
-            self.flush_meta.get(&e.id).is_some_and(|(lr, _, _)| self.lrs.data(*lr).is_some())
-        }) {
             return Some(now);
         }
         completion
@@ -1693,7 +1589,7 @@ impl Core {
         self.storeq.iter().filter(|s| s.retired).count().hash(h);
         self.storeq_lines.len().hash(h);
         self.pending_clwbs.len().hash(h);
-        self.pending_clwbs.iter().filter(|c| c.performed).count().hash(h);
+        self.pending_clwbs.iter().filter(|c| c.ack_id.is_some()).count().hash(h);
         self.fence_active.hash(h);
         self.logq.len().hash(h);
         self.lrs.in_use().hash(h);
@@ -1703,7 +1599,7 @@ impl Core {
         self.atom_logged.len().hash(h);
         self.atom_acks_outstanding.hash(h);
         self.mshr.len().hash(h);
-        self.parked_loads.len().hash(h);
+        self.rob.iter().filter(|e| matches!(e.state, UopState::WaitDeps)).count().hash(h);
         self.incomplete_loads.len().hash(h);
         self.next_local_id.hash(h);
         self.out.len().hash(h);

@@ -8,8 +8,8 @@ use proteus_core::pmem::WordImage;
 use proteus_core::program::Program;
 use proteus_core::recovery::recover;
 use proteus_core::scheme::{expand_program_with, registry, ExpandOptions};
-use proteus_cpu::core::{Core, MC_LINK_DELAY};
-use proteus_mem::{LogDrainMode, McEvent, MemoryController};
+use proteus_cpu::core::{Core, MC_LINK_DELAY, MISS_PATH_DELAY};
+use proteus_mem::{LogDrainMode, McEvent, McRequest, MemoryController};
 use proteus_types::clock::Cycle;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
 use proteus_types::{Addr, CoreId, ThreadId};
@@ -21,6 +21,10 @@ struct Rig {
     mc: MemoryController,
     inbox: Vec<(Cycle, McEvent)>,
     now: Cycle,
+    /// Every request the core handed the controller, with the cycle.
+    sent: Vec<(Cycle, McRequest)>,
+    /// Every event delivered to the core, with the cycle.
+    delivered: Vec<(Cycle, McEvent)>,
 }
 
 fn layout() -> AddressLayout {
@@ -40,16 +44,21 @@ fn build(scheme: LoggingSchemeKind, program: &Program, initial: &WordImage) -> R
     let mut mc = MemoryController::new(cfg.mem.clone(), layout.clone(), drain_mode);
     mc.load_image(initial.clone());
     let core = Core::new(CoreId::new(0), &cfg, scheme, &layout, trace);
-    Rig { core, caches, mc, inbox: Vec::new(), now: 0 }
+    Rig::new(core, caches, mc)
 }
 
 impl Rig {
+    fn new(core: Core, caches: CacheSystem, mc: MemoryController) -> Self {
+        Rig { core, caches, mc, inbox: Vec::new(), now: 0, sent: Vec::new(), delivered: Vec::new() }
+    }
+
     fn step(&mut self) {
         let now = self.now;
         self.core.tick(now, &mut self.caches);
         let mut requests = Vec::new();
         self.core.drain_requests_into(&mut requests);
         for (at, req) in requests {
+            self.sent.push((now, req.clone()));
             self.mc.submit(req, at);
         }
         self.mc.tick(now);
@@ -60,6 +69,7 @@ impl Rig {
         for (at, ev) in std::mem::take(&mut self.inbox) {
             if at <= now {
                 self.core.handle_event(&ev, now, &mut self.caches);
+                self.delivered.push((now, ev));
             } else {
                 pending.push((at, ev));
             }
@@ -346,7 +356,7 @@ fn log_save_forces_log_entries_to_nvmm() {
     mc.load_image(initial);
     let core =
         proteus_cpu::Core::new(CoreId::new(0), &cfg, LoggingSchemeKind::Proteus, &layout_v, trace);
-    let mut rig = Rig { core, caches, mc, inbox: Vec::new(), now: 0 };
+    let mut rig = Rig::new(core, caches, mc);
     rig.run_to_completion();
     rig.drain_mc();
     assert!(
@@ -354,4 +364,99 @@ fn log_save_forces_log_entries_to_nvmm() {
         "log-save must force the in-flight log entry to NVMM: {:?}",
         rig.mc.stats()
     );
+}
+
+/// `n` lines no earlier access has cached, one per 2 KiB controller row,
+/// so consecutive ones sit in different banks and their fetches can
+/// overlap.
+fn cold_lines(n: u64) -> Vec<Addr> {
+    (0..n).map(|i| Addr::new(0x2000_0000 + i * 2048)).collect()
+}
+
+#[test]
+fn dependent_reads_serialise_and_plain_reads_overlap() {
+    // A pointer chase (`read_dep`) issues each load only once every older
+    // load has completed, so N cold misses cost N round trips; plain reads
+    // all go out at dispatch and overlap.
+    const N: u64 = 8;
+    let cycles = |dependent: bool| {
+        let mut p = Program::new(ThreadId::new(0));
+        for a in cold_lines(N) {
+            if dependent {
+                p.read_dep(a);
+            } else {
+                p.read(a);
+            }
+        }
+        let mut rig = build(LoggingSchemeKind::NoLog, &p, &WordImage::new());
+        rig.run_to_completion()
+    };
+    let chased = cycles(true);
+    let overlapped = cycles(false);
+    // A miss round trip is at least the request's path to the controller
+    // plus the response link, before any device time.
+    let round_trip = MISS_PATH_DELAY + MC_LINK_DELAY;
+    assert!(chased >= N * round_trip, "{N} dependent misses took only {chased} cycles");
+    assert!(
+        overlapped * 4 < chased,
+        "plain reads must overlap: {overlapped} cycles against {chased} chased"
+    );
+}
+
+#[test]
+fn proteus_log_load_waits_for_older_loads() {
+    // The second transaction's `log-load` of `b` follows a cold load of
+    // `a`. `b` is cached by then (the first transaction wrote it), so only
+    // the ordering rule keeps the log-load, and the log flush it feeds,
+    // from going out before `a`'s data returns.
+    let b = Addr::new(0x1000_0000);
+    let a = cold_lines(1)[0];
+    let mut initial = WordImage::new();
+    initial.write_word(b, 1);
+    let mut p = Program::new(ThreadId::new(0));
+    p.tx_begin(vec![b]);
+    p.write(b, 2);
+    p.tx_end();
+    p.tx_begin(vec![b]);
+    p.read(a);
+    p.write(b, 3);
+    p.tx_end();
+    let mut rig = build(LoggingSchemeKind::Proteus, &p, &initial);
+    rig.run_to_completion();
+
+    let a_req = rig
+        .sent
+        .iter()
+        .find_map(|(_, r)| match r {
+            McRequest::Read { line, req_id } if *line == a.line() => Some(*req_id),
+            _ => None,
+        })
+        .expect("the load of a misses");
+    let a_done = rig
+        .delivered
+        .iter()
+        .find_map(|(at, ev)| match ev {
+            McEvent::ReadDone { req_id, .. } if *req_id == a_req => Some(*at),
+            _ => None,
+        })
+        .expect("a's data returns");
+    let flushes: Vec<Cycle> = rig
+        .sent
+        .iter()
+        .filter(|(_, r)| matches!(r, McRequest::LogFlush { .. }))
+        .map(|(at, _)| *at)
+        .collect();
+    assert_eq!(flushes.len(), 2, "one log flush per transaction");
+    assert!(
+        flushes[1] >= a_done,
+        "the second log flush went out at {} before a's data returned at {a_done}",
+        flushes[1]
+    );
+    // `b` was never fetched again: the log-load hit once it issued.
+    let b_reads = rig
+        .sent
+        .iter()
+        .filter(|(_, r)| matches!(r, McRequest::Read { line, .. } if *line == b.line()))
+        .count();
+    assert_eq!(b_reads, 1, "b stays cached across the transactions");
 }

@@ -173,9 +173,9 @@ fn million_key() -> WorkloadSel {
 /// `base_ops` for listing purposes (their `params()` goes through
 /// `WorkloadParams::table2` as always). The crashsweep roster keeps
 /// the historical QE/HM/RT trio and adds the two most write-heavy
-/// presets; the bench basket keeps QE/HM/SS and adds ycsb-a plus the
-/// three contended rows (MQ/CH/LB), which also form the `reproduce
-/// contention` roster.
+/// presets; the bench basket holds every Table 2 row (the pointer-chasing
+/// AT/BT/RT included) and adds ycsb-a plus the three contended rows
+/// (MQ/CH/LB), which also form the `reproduce contention` roster.
 static ROSTER: [WorkloadDescriptor; 15] = [
     WorkloadDescriptor {
         cli_name: "qe",
@@ -218,7 +218,7 @@ static ROSTER: [WorkloadDescriptor; 15] = [
         table2: true,
         preset: false,
         crash_roster: false,
-        bench_basket: false,
+        bench_basket: true,
         contended: false,
     },
     WorkloadDescriptor {
@@ -229,7 +229,7 @@ static ROSTER: [WorkloadDescriptor; 15] = [
         table2: true,
         preset: false,
         crash_roster: false,
-        bench_basket: false,
+        bench_basket: true,
         contended: false,
     },
     WorkloadDescriptor {
@@ -240,7 +240,7 @@ static ROSTER: [WorkloadDescriptor; 15] = [
         table2: true,
         preset: false,
         crash_roster: true,
-        bench_basket: false,
+        bench_basket: true,
         contended: false,
     },
     WorkloadDescriptor {
@@ -428,6 +428,8 @@ mod tests {
     fn rosters_are_nonempty_and_subsets() {
         assert!(crash_roster().count() >= 5);
         assert!(bench_basket().count() >= 4);
+        // Every Table 2 row, tree benchmarks included, is timed.
+        assert!(table2().all(|d| d.bench_basket));
         // At least two presets in the crash roster (acceptance: preset
         // crashsweep coverage).
         assert!(crash_roster().filter(|d| d.preset).count() >= 2);

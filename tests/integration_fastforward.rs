@@ -273,18 +273,25 @@ fn fast_forward_preserves_crash_points() {
 
 /// The `next_event_cycle` contract — no component may report a wake
 /// later than its first actual state change. Validation mode
-/// single-steps through every would-be skip and asserts the machine
-/// fingerprint holds still, so an over-report panics the run.
+/// single-steps through every would-be skip and ticks every sleeping
+/// core, asserting the machine fingerprint holds still, so an
+/// over-report panics the run. A tree's pointer chase and SS under
+/// Proteus park loads and log-loads behind older loads.
 #[test]
 fn next_event_cycle_never_over_reports() {
-    let workload = generate(
-        Benchmark::Queue,
-        &WorkloadParams { threads: 2, init_ops: 60, sim_ops: 12, seed: 3 },
-    );
-    for scheme in
-        [LoggingSchemeKind::Proteus, LoggingSchemeKind::Atom, LoggingSchemeKind::SwPmemPcommit]
-    {
-        let mut system = System::new(&config(), scheme, &workload).unwrap();
+    let tiny =
+        |bench| generate(bench, &WorkloadParams { threads: 2, init_ops: 60, sim_ops: 12, seed: 3 });
+    let queue = tiny(Benchmark::Queue);
+    let tree = tiny(Benchmark::AvlTree);
+    let swap = tiny(Benchmark::StringSwap);
+    for (workload, scheme) in [
+        (&queue, LoggingSchemeKind::Proteus),
+        (&queue, LoggingSchemeKind::Atom),
+        (&queue, LoggingSchemeKind::SwPmemPcommit),
+        (&tree, LoggingSchemeKind::Proteus),
+        (&swap, LoggingSchemeKind::Proteus),
+    ] {
+        let mut system = System::new(&config(), scheme, workload).unwrap();
         system.set_fast_forward(true);
         system.set_validate_skips(true);
         system.run().unwrap();
