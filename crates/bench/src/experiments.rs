@@ -121,25 +121,74 @@ fn sweep_all_benchmarks(ctx: &ExperimentCtx, tech: MemTech) -> Result<Vec<Scheme
         .collect()
 }
 
-fn speedup_table(sweeps: &[SchemeSweep], title: &str) -> String {
-    let schemes = fig6_schemes();
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(schemes.iter().map(|s| s.label().to_string()));
-    let mut table = Table::new(headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for sweep in sweeps {
-        let mut row = vec![sweep.bench.clone()];
-        for (i, scheme) in schemes.iter().enumerate() {
-            let v = sweep.speedup(*scheme);
-            columns[i].push(v);
-            row.push(f2(v));
+/// How a figure's last row summarises each column.
+type Summary = Option<(&'static str, fn(&[f64]) -> f64)>;
+
+const GEOMEAN: Summary = Some(("geomean", geometric_mean));
+
+/// A figure's table under `title`: a `bench` column, then one column per
+/// label in `columns`; a row per `(name, row)` of `rows`, with
+/// `value(row, i)` in column `i`; and the `summary` row, if any.
+fn figure_table<R>(
+    title: &str,
+    columns: &[String],
+    rows: impl IntoIterator<Item = (String, R)>,
+    mut value: impl FnMut(&R, usize) -> Result<f64, SimError>,
+    summary: Summary,
+) -> Result<String, SimError> {
+    let mut table = Table::new(std::iter::once("bench").chain(columns.iter().map(String::as_str)));
+    let mut cells: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
+    for (name, row) in rows {
+        let mut line = vec![name];
+        for (i, column) in cells.iter_mut().enumerate() {
+            let v = value(&row, i)?;
+            column.push(v);
+            line.push(f2(v));
         }
-        table.row(row);
+        table.row(line);
     }
-    let mut gm_row = vec!["geomean".to_string()];
-    gm_row.extend(columns.iter().map(|c| f2(geometric_mean(c))));
-    table.row(gm_row);
-    format!("{title}\n{}", table.render())
+    if let Some((label, reduce)) = summary {
+        table.row(std::iter::once(label.to_string()).chain(cells.iter().map(|c| f2(reduce(c)))));
+    }
+    Ok(format!("{title}\n{}", table.render()))
+}
+
+/// The schemes' labels, as column headers.
+fn labels(schemes: &[LoggingSchemeKind]) -> Vec<String> {
+    schemes.iter().map(|s| s.label().to_string()).collect()
+}
+
+/// One row per sweep, named by its benchmark.
+fn sweep_rows(sweeps: &[SchemeSweep]) -> impl Iterator<Item = (String, &SchemeSweep)> {
+    sweeps.iter().map(|s| (s.bench.clone(), s))
+}
+
+/// One row per Table 2 benchmark.
+fn table2_rows() -> impl Iterator<Item = (String, Benchmark)> {
+    Benchmark::TABLE2.into_iter().map(|b| (b.abbrev().to_string(), b))
+}
+
+/// The figure-6/9/10 table: each scheme's speedup over PMEM per sweep.
+fn speedup_table(sweeps: &[SchemeSweep], title: &str) -> Result<String, SimError> {
+    let schemes = fig6_schemes();
+    figure_table(
+        title,
+        &labels(&schemes),
+        sweep_rows(sweeps),
+        |s, i| Ok(s.speedup(schemes[i])),
+        GEOMEAN,
+    )
+}
+
+/// Proteus's speedup over PMEM on `bench` under `config`.
+fn proteus_speedup(
+    ctx: &ExperimentCtx,
+    config: &SystemConfig,
+    bench: Benchmark,
+) -> Result<f64, SimError> {
+    let schemes = [LoggingSchemeKind::SwPmem, LoggingSchemeKind::Proteus];
+    let sweep = sweep_schemes_with(config, bench, &ctx.scale.params(bench), &schemes, &ctx.opts)?;
+    Ok(sweep.speedup(LoggingSchemeKind::Proteus))
 }
 
 /// Deviation factor between reproduction and paper when both are
@@ -219,7 +268,7 @@ fn fig6_fidelity(sweeps: &[SchemeSweep], scale: &ExperimentScale) -> Result<Stri
 pub fn fig6(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sweeps = sweep_all_benchmarks(ctx, MemTech::NvmFast)?;
     let main =
-        speedup_table(&sweeps, "Figure 6: speedup on NVMM (baseline: PMEM software logging)");
+        speedup_table(&sweeps, "Figure 6: speedup on NVMM (baseline: PMEM software logging)")?;
     let fidelity = fig6_fidelity(&sweeps, &ctx.scale)?;
     Ok(format!("{main}\n{fidelity}"))
 }
@@ -232,23 +281,13 @@ pub fn fig6(ctx: &ExperimentCtx) -> Result<String, SimError> {
 pub fn fig7(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sweeps = sweep_all_benchmarks(ctx, MemTech::NvmFast)?;
     let schemes = [LoggingSchemeKind::Atom, LoggingSchemeKind::Proteus, LoggingSchemeKind::NoLog];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(schemes.iter().map(|s| s.label().to_string()));
-    let mut table = Table::new(headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for sweep in &sweeps {
-        let mut row = vec![sweep.bench.clone()];
-        for (i, scheme) in schemes.iter().enumerate() {
-            let v = sweep.stalls_normalized(*scheme);
-            columns[i].push(v);
-            row.push(f2(v));
-        }
-        table.row(row);
-    }
-    let mut gm = vec!["geomean".to_string()];
-    gm.extend(columns.iter().map(|c| f2(geometric_mean(c))));
-    table.row(gm);
-    Ok(format!("Figure 7: front-end stall cycles, normalised to PMEM+nolog\n{}", table.render()))
+    figure_table(
+        "Figure 7: front-end stall cycles, normalised to PMEM+nolog",
+        &labels(&schemes),
+        sweep_rows(&sweeps),
+        |s, i| Ok(s.stalls_normalized(schemes[i])),
+        GEOMEAN,
+    )
 }
 
 /// Figure 8: NVMM writes normalised to PMEM+nolog.
@@ -264,23 +303,13 @@ pub fn fig8(ctx: &ExperimentCtx) -> Result<String, SimError> {
         LoggingSchemeKind::ProteusNoLwr,
         LoggingSchemeKind::Proteus,
     ];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(schemes.iter().map(|s| s.label().to_string()));
-    let mut table = Table::new(headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for sweep in &sweeps {
-        let mut row = vec![sweep.bench.clone()];
-        for (i, scheme) in schemes.iter().enumerate() {
-            let v = sweep.nvmm_writes_normalized(*scheme);
-            columns[i].push(v);
-            row.push(f2(v));
-        }
-        table.row(row);
-    }
-    let mut mean = vec!["mean".to_string()];
-    mean.extend(columns.iter().map(|c| f2(c.iter().sum::<f64>() / c.len() as f64)));
-    table.row(mean);
-    Ok(format!("Figure 8: NVMM writes, normalised to PMEM+nolog\n{}", table.render()))
+    figure_table(
+        "Figure 8: NVMM writes, normalised to PMEM+nolog",
+        &labels(&schemes),
+        sweep_rows(&sweeps),
+        |s, i| Ok(s.nvmm_writes_normalized(schemes[i])),
+        Some(("mean", |c| c.iter().sum::<f64>() / c.len() as f64)),
+    )
 }
 
 /// Figure 9: speedup on slow NVM (300 ns writes).
@@ -290,7 +319,7 @@ pub fn fig8(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// Propagates simulation errors.
 pub fn fig9(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sweeps = sweep_all_benchmarks(ctx, MemTech::NvmSlow)?;
-    Ok(speedup_table(&sweeps, "Figure 9: speedup on slow NVMM, 300 ns writes (baseline: PMEM)"))
+    speedup_table(&sweeps, "Figure 9: speedup on slow NVMM, 300 ns writes (baseline: PMEM)")
 }
 
 /// Figure 10: speedup on DRAM (battery-backed NVDIMM study).
@@ -300,7 +329,7 @@ pub fn fig9(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// Propagates simulation errors.
 pub fn fig10(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sweeps = sweep_all_benchmarks(ctx, MemTech::Dram)?;
-    Ok(speedup_table(&sweeps, "Figure 10: speedup on DRAM (baseline: PMEM)"))
+    speedup_table(&sweeps, "Figure 10: speedup on DRAM (baseline: PMEM)")
 }
 
 /// Figure 11: Proteus speedup with varying LogQ sizes.
@@ -310,31 +339,13 @@ pub fn fig10(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// Propagates simulation errors.
 pub fn fig11(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sizes = [1usize, 2, 4, 8, 16, 32, 64];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("LogQ={s}")));
-    let mut table = Table::new(headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for bench in Benchmark::TABLE2 {
-        let params = ctx.scale.params(bench);
-        let mut row = vec![bench.abbrev().to_string()];
-        for (i, size) in sizes.iter().enumerate() {
-            let sweep = sweep_schemes_with(
-                &ctx.scale.config().with_logq_entries(*size),
-                bench,
-                &params,
-                &[LoggingSchemeKind::SwPmem, LoggingSchemeKind::Proteus],
-                &ctx.opts,
-            )?;
-            let v = sweep.speedup(LoggingSchemeKind::Proteus);
-            columns[i].push(v);
-            row.push(f2(v));
-        }
-        table.row(row);
-    }
-    let mut gm = vec!["geomean".to_string()];
-    gm.extend(columns.iter().map(|c| f2(geometric_mean(c))));
-    table.row(gm);
-    Ok(format!("Figure 11: Proteus speedup vs LogQ size (baseline: PMEM)\n{}", table.render()))
+    figure_table(
+        "Figure 11: Proteus speedup vs LogQ size (baseline: PMEM)",
+        &sizes.map(|s| format!("LogQ={s}")),
+        table2_rows(),
+        |&bench, i| proteus_speedup(ctx, &ctx.scale.config().with_logq_entries(sizes[i]), bench),
+        GEOMEAN,
+    )
 }
 
 /// Figure 12: Proteus speedup with varying LPQ sizes (LogQ = 16).
@@ -344,34 +355,14 @@ pub fn fig11(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// Propagates simulation errors.
 pub fn fig12(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sizes = [16usize, 32, 64, 128, 256, 512];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("LPQ={s}")));
-    let mut table = Table::new(headers);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for bench in Benchmark::TABLE2 {
-        let params = ctx.scale.params(bench);
-        let mut row = vec![bench.abbrev().to_string()];
-        for (i, size) in sizes.iter().enumerate() {
-            let sweep = sweep_schemes_with(
-                &ctx.scale.config().with_logq_entries(16).with_lpq_entries(*size),
-                bench,
-                &params,
-                &[LoggingSchemeKind::SwPmem, LoggingSchemeKind::Proteus],
-                &ctx.opts,
-            )?;
-            let v = sweep.speedup(LoggingSchemeKind::Proteus);
-            columns[i].push(v);
-            row.push(f2(v));
-        }
-        table.row(row);
-    }
-    let mut gm = vec!["geomean".to_string()];
-    gm.extend(columns.iter().map(|c| f2(geometric_mean(c))));
-    table.row(gm);
-    Ok(format!(
-        "Figure 12: Proteus speedup vs LPQ size, LogQ=16 (baseline: PMEM)\n{}",
-        table.render()
-    ))
+    let config = ctx.scale.config().with_logq_entries(16);
+    figure_table(
+        "Figure 12: Proteus speedup vs LPQ size, LogQ=16 (baseline: PMEM)",
+        &sizes.map(|s| format!("LPQ={s}")),
+        table2_rows(),
+        |&bench, i| proteus_speedup(ctx, &config.clone().with_lpq_entries(sizes[i]), bench),
+        GEOMEAN,
+    )
 }
 
 /// Table 3: large transactions (linked-list microbenchmark).
@@ -605,25 +596,17 @@ pub fn ablation_wpq(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// Propagates simulation errors.
 pub fn ablation_llt(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let sizes = [8usize, 16, 32, 64, 128];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("LLT={s}")));
-    let mut table = Table::new(headers);
-    for bench in [Benchmark::HashMap, Benchmark::RbTree, Benchmark::StringSwap] {
-        let params = ctx.scale.params(bench);
-        let mut row = vec![bench.abbrev().to_string()];
-        for size in sizes {
-            let sweep = sweep_schemes_with(
-                &ctx.scale.config().with_llt_entries(size, 8.min(size)),
-                bench,
-                &params,
-                &[LoggingSchemeKind::SwPmem, LoggingSchemeKind::Proteus],
-                &ctx.opts,
-            )?;
-            row.push(f2(sweep.speedup(LoggingSchemeKind::Proteus)));
-        }
-        table.row(row);
-    }
-    Ok(format!("Ablation: Proteus speedup vs LLT size\n{}", table.render()))
+    let benches = [Benchmark::HashMap, Benchmark::RbTree, Benchmark::StringSwap];
+    figure_table(
+        "Ablation: Proteus speedup vs LLT size",
+        &sizes.map(|s| format!("LLT={s}")),
+        benches.map(|b| (b.abbrev().to_string(), b)),
+        |&bench, i| {
+            let config = ctx.scale.config().with_llt_entries(sizes[i], 8.min(sizes[i]));
+            proteus_speedup(ctx, &config, bench)
+        },
+        None,
+    )
 }
 
 /// The one-cell deep dive behind Fig. 7: runs the `--workload` cell
@@ -1290,7 +1273,7 @@ pub fn gen(ctx: &ExperimentCtx) -> Result<String, SimError> {
             "Generated workload '{}' ({}) on NVMM (baseline: PMEM software logging)",
             d.cli_name, d.blurb
         ),
-    );
+    )?;
     out.push_str(&format!(
         "\ntrace: {} ops in {} durable groups across {} threads, content hash {:016x}",
         trace.total_ops(),

@@ -63,8 +63,7 @@ impl LogArea {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NestedTransaction`] semantics via
-    /// [`SimError::InvalidConfig`]-free typed error if a transaction is
+    /// Returns [`SimError::NestedTransaction`] if a transaction is
     /// already open.
     pub fn begin_tx(&mut self, tx: TxId) -> Result<(), SimError> {
         if self.current_tx.is_some() {

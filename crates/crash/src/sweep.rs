@@ -70,6 +70,7 @@ fn decode_outcome(v: &Json) -> Option<ExploreOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_core::scheme::registry;
     use proteus_types::config::LoggingSchemeKind;
     use proteus_workloads::{Benchmark, WorkloadParams};
 
@@ -81,16 +82,20 @@ mod tests {
         let params = |init_ops| WorkloadParams { threads: 1, init_ops, sim_ops: 1, seed: 3 };
         let ok = ExploreSpec::new(Benchmark::Queue, params(20), LoggingSchemeKind::Proteus, 4);
         // One transaction updating 64 Ki elements overflows the
-        // 4 Ki-entry log area: the core raises §4.1's exception, and the
-        // job fails with it.
-        let overflow = ExploreSpec::new(
-            Benchmark::LargeTx { elements: 1 << 16 },
-            params(1),
-            LoggingSchemeKind::Proteus,
-            4,
-        );
-        let report = sweep(&[ok, overflow], &SweepOptions::default()).unwrap();
-        assert_eq!((report.completed, report.failed, report.crashed), (1, 1, 0));
+        // 4 Ki-entry log area under every failure-safe scheme. §4.1's
+        // exception (raised by trace expansion for the software
+        // schemes, by the core for Proteus, by the controller's log
+        // engine for ATOM) fails the job with it, never with a panic.
+        let overflows = registry::all().iter().filter(|d| d.failure_safe).map(|d| {
+            ExploreSpec::new(Benchmark::LargeTx { elements: 1 << 16 }, params(1), d.kind, 4)
+        });
+        let specs: Vec<ExploreSpec> = std::iter::once(ok).chain(overflows).collect();
+        let report = sweep(&specs, &SweepOptions::default()).unwrap();
+        assert_eq!((report.completed, report.failed, report.crashed), (1, specs.len() - 1, 0));
+        for r in &report.results[1..] {
+            let overflowed = matches!(r.result, Err(SimError::LogAreaOverflow { .. }));
+            assert!(overflowed, "{}: expected LogAreaOverflow, got {:?}", r.name, r.result);
+        }
         match report.into_payloads() {
             Err(SimError::LogAreaOverflow { capacity, .. }) => assert_eq!(capacity, 4096),
             other => panic!("expected LogAreaOverflow, got {other:?}"),

@@ -34,7 +34,7 @@ use proteus_types::addr::LineAddr;
 use proteus_types::clock::{ClockRatio, Cycle, NextEvent};
 use proteus_types::config::MemConfig;
 use proteus_types::stats::MemStats;
-use proteus_types::{CoreId, ThreadId, TxId};
+use proteus_types::{CoreId, SimError, ThreadId, TxId};
 use std::collections::VecDeque;
 
 /// How the LPQ treats log entries.
@@ -296,8 +296,8 @@ impl DrainRules {
     }
 }
 
-/// Last log entry observed per core, used to guarantee commit-marker
-/// durability when the entry already left the LPQ.
+/// Last log entry observed per core: the entry its commit marker goes
+/// onto, rewritten with the marker when it has already left its queue.
 #[derive(Debug, Clone, Copy)]
 struct LastEntry {
     tx: TxId,
@@ -351,8 +351,9 @@ pub struct MemoryController {
     lpq: Vec<LpqEntry>,
     /// Issue candidates per bank, over the read queue, WPQ and LPQ.
     candidates: Candidates,
-    /// Background truncation/marker writes waiting for WPQ space.
-    pending_writes: VecDeque<(LineAddr, [u64; 8], WriteKind)>,
+    /// Log invalidation and commit-marker rewrites waiting for WPQ
+    /// space, written as [`WriteKind::LogInvalidate`].
+    pending_writes: VecDeque<(LineAddr, [u64; 8])>,
     pending_pcommits: Vec<u64>,
     pending_tx_ends: Vec<(CoreId, TxId)>,
     in_flight: Vec<(Cycle, InFlight)>,
@@ -375,6 +376,9 @@ pub struct MemoryController {
     record_persist: bool,
     timeline: Vec<PersistEvent>,
     tracer: Tracer,
+    /// The exception that stopped the controller: an ATOM transaction
+    /// overflowed its log area (§4.1).
+    fault: Option<SimError>,
 }
 
 #[derive(Debug)]
@@ -435,6 +439,7 @@ impl MemoryController {
             record_persist: false,
             timeline: Vec::new(),
             tracer: Tracer::disabled(),
+            fault: None,
         }
     }
 
@@ -468,6 +473,13 @@ impl MemoryController {
     /// counters include the requests still waiting.
     pub fn stats(&self) -> &MemStats {
         &self.stats
+    }
+
+    /// The exception that stopped the controller, if one did: an ATOM
+    /// transaction overflowed its hardware log area (§4.1). The entry
+    /// that overflowed is never acknowledged, so the machine must stop.
+    pub fn fault(&self) -> Option<&SimError> {
+        self.fault.as_ref()
     }
 
     /// Submits a request that arrives at the controller at `deliver_at`.
@@ -889,7 +901,7 @@ impl MemoryController {
             Lane::Read => {
                 self.read_queue.len() < self.cfg.read_queue_entries || self.lines.read_hits() > 0
             }
-            Lane::Wpq => self.wpq.len() < self.cfg.wpq_entries || self.lines.writeback_hits() > 0,
+            Lane::Wpq => self.wpq_admits(None) || self.lines.writeback_hits() > 0,
             Lane::Lpq => self.lpq.len() < self.cfg.lpq_entries,
         }
     }
@@ -899,26 +911,44 @@ impl MemoryController {
     /// by the intake walk, the skipped-window stamps and the probe, so the
     /// three cannot disagree.
     fn intake_reject(&self, req: &McRequest) -> Option<Lane> {
-        let wpq_full = self.wpq.len() >= self.cfg.wpq_entries;
         match req {
             McRequest::Read { line, .. } => (self.read_queue.len() >= self.cfg.read_queue_entries
                 && !self.lines.forwards(*line))
             .then_some(Lane::Read),
-            // Only data-kind lines are ever coalescable, so a hit implies
-            // `classify(line) == Data` and a guaranteed coalesce; a miss
-            // with a full WPQ rejects data and log write-backs alike.
             McRequest::WriteBack { line, .. } => {
-                (wpq_full && !self.lines.coalesces(*line)).then_some(Lane::Wpq)
+                (!self.wpq_admits(Some(*line))).then_some(Lane::Wpq)
             }
             McRequest::LogFlush { .. } => {
                 (self.lpq.len() >= self.cfg.lpq_entries).then_some(Lane::Lpq)
             }
-            McRequest::AtomLog { .. } => wpq_full.then_some(Lane::Wpq),
+            // A log entry never coalesces.
+            McRequest::AtomLog { .. } => (!self.wpq_admits(None)).then_some(Lane::Wpq),
             // TxEnd, Pcommit, and DrainCoreLogs are always accepted.
             McRequest::TxEnd { .. }
             | McRequest::Pcommit { .. }
             | McRequest::DrainCoreLogs { .. } => None,
         }
+    }
+
+    /// The WPQ gate: whether the WPQ takes a write now. It does if it has
+    /// room, or if `coalesce` names a line with a coalescable entry. Only
+    /// data write-backs coalesce, and only data lines ever hold a
+    /// coalescable entry, so a write that may coalesce passes its line
+    /// and any other passes `None`. The intake, the background writes,
+    /// the commit gate and the probe all admit through it, so
+    /// [`MemoryController::insert_wpq`] cannot fail.
+    fn wpq_admits(&self, coalesce: Option<LineAddr>) -> bool {
+        self.wpq.len() < self.cfg.wpq_entries || coalesce.is_some_and(|l| self.lines.coalesces(l))
+    }
+
+    /// The data of the newest WPQ entry for `line`, if the WPQ holds one:
+    /// what a read of the line forwards, and what ATOM's source log reads
+    /// ahead of the NVMM array.
+    fn wpq_newest(&self, line: LineAddr) -> Option<LineData> {
+        if !self.lines.forwards(line) {
+            return None;
+        }
+        self.wpq.iter().rev().find(|e| e.line == line).map(|e| e.data)
     }
 
     /// Accepts `req`, which [`MemoryController::intake_reject`] has just
@@ -927,18 +957,9 @@ impl MemoryController {
         match req {
             McRequest::Read { line, req_id } => {
                 // Forward from the WPQ: the newest matching entry wins.
-                if self.lines.forwards(line) {
-                    let e = self
-                        .wpq
-                        .iter()
-                        .rev()
-                        .find(|e| e.line == line)
-                        .expect("indexed line is in the WPQ");
-                    self.events.push(McEvent::ReadDone {
-                        req_id,
-                        data: e.data,
-                        at: now + self.timing.burst(),
-                    });
+                if let Some(data) = self.wpq_newest(line) {
+                    let at = now + self.timing.burst();
+                    self.events.push(McEvent::ReadDone { req_id, data, at });
                     return;
                 }
                 debug_assert!(self.read_queue.len() < self.cfg.read_queue_entries);
@@ -960,8 +981,7 @@ impl MemoryController {
                 );
             }
             McRequest::WriteBack { line, data, ack_id } => {
-                let accepted = self.insert_wpq(line, data, self.classify(line));
-                debug_assert!(accepted, "the WPQ refused a write-back the intake cleared");
+                self.insert_wpq(line, data, self.classify(line));
                 if let Some(id) = ack_id {
                     self.events.push(McEvent::WritebackAck { ack_id: id, at: now });
                 }
@@ -1005,22 +1025,13 @@ impl MemoryController {
                 self.events.push(McEvent::LogFlushAck { flush_id, at: now });
             }
             McRequest::AtomLog { grain, old_data, core, tx, log_id } => {
-                // Log entries never coalesce, so the intake cleared this
-                // one only with a free WPQ slot: the log-area slot below
-                // is allocated once, on certain acceptance.
-                debug_assert!(self.wpq.len() < self.cfg.wpq_entries);
                 // Source-log optimisation: on a core-side cache miss the
                 // controller reads the pre-store grain from its own
                 // durable view (WPQ entries shadow the NVMM array).
                 let data = old_data.unwrap_or_else(|| {
                     let line = grain.line();
-                    let line_data = self
-                        .wpq
-                        .iter()
-                        .rev()
-                        .find(|e| e.line == line)
-                        .map(|e| e.data)
-                        .unwrap_or_else(|| self.nvmm.read_line(line));
+                    let line_data =
+                        self.wpq_newest(line).unwrap_or_else(|| self.nvmm.read_line(line));
                     let base = (grain.log_grain().index() % 2) as usize * 4;
                     [line_data[base], line_data[base + 1], line_data[base + 2], line_data[base + 3]]
                 });
@@ -1032,14 +1043,22 @@ impl MemoryController {
                     state.area.begin_tx(tx).expect("fresh tx");
                     state.tx_slots.clear();
                 }
-                let (slot, seq) =
-                    state.area.alloc().expect("ATOM hardware log area overflow; enlarge layout");
-                let entry = proteus_core::entry::LogEntry::new(data, grain, tx, seq);
-                let words = entry.encode_words();
-                let accepted = self.insert_wpq(slot.line(), words, WriteKind::Log);
-                debug_assert!(accepted, "space was checked above");
-                let state = &mut self.atom[core.index()];
+                // Log entries never coalesce, so the intake cleared this
+                // one only with a free WPQ slot: the log-area slot below
+                // is allocated once, on certain acceptance.
+                let (slot, seq) = match state.area.alloc() {
+                    Ok(slot) => slot,
+                    Err(overflow) => {
+                        // §4.1: the transaction overflowed its log area.
+                        // The entry is never acknowledged; the machine
+                        // stops on the fault.
+                        self.fault.get_or_insert(overflow);
+                        return;
+                    }
+                };
                 state.tx_slots.push(slot.line());
+                let words = proteus_core::entry::LogEntry::new(data, grain, tx, seq).encode_words();
+                self.insert_wpq(slot.line(), words, WriteKind::Log);
                 self.last_entry[core.index()] =
                     Some(LastEntry { tx, slot_line: slot.line(), words, seq });
                 self.events.push(McEvent::AtomLogAck { log_id, at: now });
@@ -1081,11 +1100,13 @@ impl MemoryController {
         }
     }
 
-    fn insert_wpq(&mut self, line: LineAddr, data: LineData, kind: WriteKind) -> bool {
-        // Coalesce onto an existing same-line data entry not yet in
-        // service (normal write-back coalescing). The line index keeps
-        // the common miss off the queue scan; a hit scans, but a hit
-        // also accepts the request.
+    /// Puts a `kind` write of `line` into the WPQ, which the WPQ gate
+    /// ([`MemoryController::wpq_admits`]) has just admitted: onto the
+    /// line's coalescable entry if it has one (normal write-back
+    /// coalescing), else into a free slot. The line index keeps the
+    /// common miss off the queue scan; a hit scans, but a hit also
+    /// accepts the write.
+    fn insert_wpq(&mut self, line: LineAddr, data: LineData, kind: WriteKind) {
         if kind == WriteKind::Data && self.lines.coalesces(line) {
             let e = self
                 .wpq
@@ -1095,11 +1116,9 @@ impl MemoryController {
             e.data = data;
             self.stats.wpq_inserts += 1;
             self.persist_event(PersistEventKind::WpqAccept { line });
-            return true;
+            return;
         }
-        if self.wpq.len() >= self.cfg.wpq_entries {
-            return false;
-        }
+        debug_assert!(self.wpq_admits(None), "the WPQ gate admitted a write with no free slot");
         let entry = WpqEntry { line, loc: Loc::of(&self.map, line), data, kind, in_service: false };
         self.candidates.shift(entry.loc.bank, None, entry.class());
         self.lines.wpq_push(line, entry.coalescable());
@@ -1110,204 +1129,157 @@ impl MemoryController {
             self.clock,
             TraceEventKind::Enqueue { queue: QueueId::Wpq, occupancy: self.wpq.len() as u32 },
         );
-        true
     }
 
     fn feed_pending_writes(&mut self) {
-        while let Some((line, words, kind)) = self.pending_writes.front().copied() {
-            if self.insert_wpq(line, words, kind) {
-                self.pending_writes.pop_front();
-            } else {
-                break;
-            }
+        while !self.pending_writes.is_empty() && self.wpq_admits(None) {
+            let (line, words) = self.pending_writes.pop_front().expect("checked non-empty");
+            self.insert_wpq(line, words, WriteKind::LogInvalidate);
         }
     }
 
     /// Commit-time work: flash clear, marker durability, ATOM truncation.
+    /// A commit the commit gate holds waits for a later tick.
     fn resolve_tx_ends(&mut self, now: Cycle) {
         let pending = std::mem::take(&mut self.pending_tx_ends);
         for (core, tx) in pending {
-            if self.finish_tx_end(core, tx) {
-                self.events.push(McEvent::TxEndDone { core, tx, at: now });
-            } else {
+            if self.commit_blocked(core, tx) {
                 self.pending_tx_ends.push((core, tx));
+            } else {
+                self.finish_tx_end(core, tx);
+                self.events.push(McEvent::TxEndDone { core, tx, at: now });
             }
         }
     }
 
-    /// Whether retrying the pending commit of `tx` on `core` would change
-    /// nothing. `resolve_tx_ends` first tries a commit in the tick that
-    /// accepts its tx-end, so a commit still pending is an ATOM commit
-    /// whose marker write found the WPQ full: it reopened its log area
-    /// for `tx`, which resets the area's per-transaction entry count. A
-    /// retry repeats that failure and restores what it took apart as
-    /// long as the WPQ is full and holds no stampable entry for the
-    /// marker line.
-    fn commit_retry_is_idle(&self, core: CoreId, tx: TxId) -> bool {
+    /// The commit gate: whether the commit of `tx` on `core` must wait.
+    /// Only an ATOM commit ever does. Its marker goes onto the
+    /// transaction's last log entry, stamped in place while that entry
+    /// waits in the WPQ, else rewritten, and the rewrite needs the WPQ
+    /// gate.
+    fn commit_blocked(&self, core: CoreId, tx: TxId) -> bool {
         self.atom[core.index()].area.current_tx() == Some(tx)
-            && self.wpq.len() >= self.cfg.wpq_entries
+            && !self.wpq_admits(None)
             && self.last_entry[core.index()].is_some_and(|last| {
-                last.tx == tx
-                    && !self.wpq.iter().any(|e| {
-                        e.line == last.slot_line && e.kind == WriteKind::Log && !e.in_service
-                    })
+                last.tx == tx && self.stampable_marker(last.slot_line).is_none()
             })
     }
 
-    fn finish_tx_end(&mut self, core: CoreId, tx: TxId) -> bool {
-        // ATOM: ensure marker durability and truncate the log with
-        // per-entry invalidation writes.
-        let atom_slots = {
-            let state = &mut self.atom[core.index()];
-            if state.area.current_tx() == Some(tx) {
-                state.area.end_tx().expect("open tx");
-                Some(std::mem::take(&mut state.tx_slots))
-            } else {
-                None
-            }
-        };
-        if let Some(slots) = atom_slots {
-            if let Some(last) = self.last_entry[core.index()] {
-                if last.tx == tx {
-                    // Commit marker must be durable before the commit
-                    // completes: stamp it onto the WPQ-resident last
-                    // entry, or write it out if the entry escaped.
-                    let stamped = self
-                        .wpq
-                        .iter_mut()
-                        .find(|e| {
-                            e.line == last.slot_line && e.kind == WriteKind::Log && !e.in_service
-                        })
-                        .map(|e| e.data[6] |= FLAG_COMMIT_MARKER)
-                        .is_some();
-                    if stamped {
-                        self.persist_event(PersistEventKind::MarkerStamp {
-                            slot_line: last.slot_line,
-                        });
-                    }
-                    if !stamped {
-                        let mut words = last.words;
-                        words[6] |= FLAG_COMMIT_MARKER;
-                        if !self.insert_wpq(last.slot_line, words, WriteKind::Log) {
-                            // Re-register the slots and retry next tick.
-                            self.atom[core.index()].area.begin_tx(tx).expect("reopen");
-                            self.atom[core.index()].tx_slots = slots;
-                            return false;
-                        }
-                    }
-                    // Truncation (§4.3): the MC's tracker clears entries
-                    // that are still buffered; entries that already
-                    // drained to NVMM must be invalidated manually one by
-                    // one (a read plus a write each).
-                    for slot in slots {
-                        if slot == last.slot_line {
-                            continue;
-                        }
-                        let before = self.wpq.len();
-                        let (candidates, lines) = (&mut self.candidates, &mut self.lines);
-                        self.wpq.retain(|e| {
-                            let clear = e.line == slot && e.kind == WriteKind::Log && !e.in_service;
-                            if clear {
-                                candidates.shift(e.loc.bank, e.class(), None);
-                                lines.wpq_remove(e.line);
-                            }
-                            !clear
-                        });
-                        if self.wpq.len() < before {
-                            self.stats.wpq_log_dropped += 1;
-                            self.persist_event(PersistEventKind::LogClear { entries: 1 });
-                        } else {
-                            self.stats.nvmm_reads += 1; // read-modify-write
-                            let mut cleared = [0u64; 8];
-                            cleared[6] = 0; // valid bit off
-                            self.pending_writes.push_back((
-                                slot,
-                                cleared,
-                                WriteKind::LogInvalidate,
-                            ));
-                        }
-                    }
+    /// The WPQ index of the ATOM log entry of `slot_line` that a commit
+    /// stamps its marker onto: one still waiting for its bank.
+    fn stampable_marker(&self, slot_line: LineAddr) -> Option<usize> {
+        self.wpq
+            .iter()
+            .position(|e| e.line == slot_line && e.kind == WriteKind::Log && !e.in_service)
+    }
+
+    /// Commits `tx` on `core`, which the commit gate has just cleared.
+    fn finish_tx_end(&mut self, core: CoreId, tx: TxId) {
+        let last = self.last_entry[core.index()].filter(|l| l.tx == tx);
+        let state = &mut self.atom[core.index()];
+        if state.area.current_tx() == Some(tx) {
+            // ATOM: make the commit marker durable before the commit
+            // completes, then truncate the log with per-entry
+            // invalidation writes.
+            state.area.end_tx().expect("open tx");
+            let slots = std::mem::take(&mut state.tx_slots);
+            let Some(last) = last else { return };
+            match self.stampable_marker(last.slot_line) {
+                Some(i) => {
+                    self.wpq[i].data[6] |= FLAG_COMMIT_MARKER;
+                    self.persist_event(PersistEventKind::MarkerStamp { slot_line: last.slot_line });
+                }
+                // The entry is in service or has drained: write it out
+                // again with the marker set.
+                None => {
+                    let mut words = last.words;
+                    words[6] |= FLAG_COMMIT_MARKER;
+                    self.insert_wpq(last.slot_line, words, WriteKind::Log);
                 }
             }
-            return true;
+            // Truncation (§4.3): the MC's tracker clears entries that are
+            // still buffered; entries that already drained to NVMM must
+            // be invalidated manually one by one (a read plus a write
+            // each).
+            for slot in slots {
+                if slot == last.slot_line {
+                    continue;
+                }
+                let before = self.wpq.len();
+                let (candidates, lines) = (&mut self.candidates, &mut self.lines);
+                self.wpq.retain(|e| {
+                    let clear = e.line == slot && e.kind == WriteKind::Log && !e.in_service;
+                    if clear {
+                        candidates.shift(e.loc.bank, e.class(), None);
+                        lines.wpq_remove(e.line);
+                    }
+                    !clear
+                });
+                if self.wpq.len() < before {
+                    self.stats.wpq_log_dropped += 1;
+                    self.persist_event(PersistEventKind::LogClear { entries: 1 });
+                } else {
+                    // A read-modify-write; an all-zero line has its valid
+                    // bit off.
+                    self.stats.nvmm_reads += 1;
+                    self.pending_writes.push_back((slot, [0; 8]));
+                }
+            }
+            return;
         }
 
-        // Proteus: flash clear this transaction's LPQ entries, retaining
-        // the commit marker on the last one.
-        let last = self.last_entry[core.index()];
-        match self.drain_mode {
-            LogDrainMode::KeepUntilCommit => {
-                let last_seq = last.filter(|l| l.tx == tx).map(|l| l.seq);
-                let cleared = self.drop_lpq_entries(|e| {
-                    e.core == core && e.tx == tx && !e.in_service && Some(e.seq) != last_seq
-                });
-                self.stats.lpq_flash_cleared += cleared as u64;
-                if cleared > 0 {
-                    self.persist_event(PersistEventKind::LogClear { entries: cleared as u32 });
-                    self.tracer.emit(
-                        self.clock,
-                        TraceEventKind::Dequeue {
-                            queue: QueueId::Lpq,
-                            occupancy: self.lpq.len() as u32,
-                        },
-                    );
-                }
-                if let Some(l) = last.filter(|l| l.tx == tx) {
-                    if let Some(e) =
-                        self.lpq.iter_mut().find(|e| e.core == core && e.tx == tx && e.seq == l.seq)
-                    {
-                        e.words[6] |= FLAG_COMMIT_MARKER;
-                        let from = e.class();
-                        e.retained_marker = true;
-                        self.candidates.shift(e.loc.bank, from, e.class());
-                        let slot_line = e.slot_line;
-                        self.persist_event(PersistEventKind::MarkerStamp { slot_line });
-                    } else {
-                        // Last entry already escaped to NVMM: rewrite it
-                        // there with the marker set.
-                        let mut words = l.words;
-                        words[6] |= FLAG_COMMIT_MARKER | FLAG_VALID;
-                        self.pending_writes.push_back((
-                            l.slot_line,
-                            words,
-                            WriteKind::LogInvalidate,
-                        ));
-                    }
-                }
-                true
+        // Proteus: under log write removal, flash clear this
+        // transaction's LPQ entries except the last.
+        let lwr = self.drain_mode == LogDrainMode::KeepUntilCommit;
+        if lwr {
+            let last_seq = last.map(|l| l.seq);
+            let cleared = self.drop_lpq_entries(|e| {
+                e.core == core && e.tx == tx && !e.in_service && Some(e.seq) != last_seq
+            });
+            self.stats.lpq_flash_cleared += cleared as u64;
+            if cleared > 0 {
+                self.persist_event(PersistEventKind::LogClear { entries: cleared as u32 });
+                self.tracer.emit(
+                    self.clock,
+                    TraceEventKind::Dequeue {
+                        queue: QueueId::Lpq,
+                        occupancy: self.lpq.len() as u32,
+                    },
+                );
             }
-            LogDrainMode::DrainAlways => {
-                // No removal; only set the marker on the last entry.
-                if let Some(l) = last.filter(|l| l.tx == tx) {
-                    if let Some(e) = self
-                        .lpq
-                        .iter_mut()
-                        .find(|e| e.core == core && e.tx == tx && e.seq == l.seq && !e.in_service)
-                    {
-                        e.words[6] |= FLAG_COMMIT_MARKER;
-                        let slot_line = e.slot_line;
-                        self.persist_event(PersistEventKind::MarkerStamp { slot_line });
-                    } else {
-                        let mut words = l.words;
-                        words[6] |= FLAG_COMMIT_MARKER | FLAG_VALID;
-                        self.pending_writes.push_back((
-                            l.slot_line,
-                            words,
-                            WriteKind::LogInvalidate,
-                        ));
-                    }
-                }
-                true
-            }
+        }
+        let Some(l) = last else { return };
+        // The commit marker goes onto the last entry: stamped in place
+        // while it waits in the LPQ, and under LWR retained there, even
+        // while in service; otherwise the entry is rewritten in NVMM with
+        // the marker set.
+        let stampable = self
+            .lpq
+            .iter_mut()
+            .find(|e| e.core == core && e.tx == tx && e.seq == l.seq && (lwr || !e.in_service));
+        if let Some(e) = stampable {
+            e.words[6] |= FLAG_COMMIT_MARKER;
+            let from = e.class();
+            e.retained_marker = lwr;
+            self.candidates.shift(e.loc.bank, from, e.class());
+            let slot_line = e.slot_line;
+            self.persist_event(PersistEventKind::MarkerStamp { slot_line });
+        } else {
+            let mut words = l.words;
+            words[6] |= FLAG_COMMIT_MARKER | FLAG_VALID;
+            self.pending_writes.push_back((l.slot_line, words));
         }
     }
 
+    /// The pcommit gate: whether the pending pcommits complete now. They
+    /// wait until the WPQ has drained to NVMM and no background write is
+    /// left to join it.
+    fn pcommits_done(&self) -> bool {
+        !self.pending_pcommits.is_empty() && self.wpq.is_empty() && self.pending_writes.is_empty()
+    }
+
     fn resolve_pcommits(&mut self, now: Cycle) {
-        if self.pending_pcommits.is_empty() {
-            return;
-        }
-        let drained = self.wpq.is_empty() && self.pending_writes.is_empty();
-        if drained {
+        if self.pcommits_done() {
             for commit_id in std::mem::take(&mut self.pending_pcommits) {
                 self.events.push(McEvent::PcommitDone { commit_id, at: now });
             }
@@ -1524,32 +1496,25 @@ impl MemoryController {
 }
 
 impl NextEvent for MemoryController {
+    /// Each clause reads the gate its tick phase acts through: the commit
+    /// gate, the pcommit gate, the WPQ gate for the background writes,
+    /// `lane_open` and `intake_reject` for the intake, `next_done` for
+    /// the completions and `next_issue_boundary` for the arbiter. None
+    /// restates a phase's condition, so the probe and the tick cannot
+    /// disagree.
     fn next_event_cycle(&self, now: Cycle) -> Option<Cycle> {
         // The cheap immediate-wake checks come first and return early:
         // `now` is already the floor, so nothing later can beat it, and
         // skipping the queue scans matters — this runs on every engine
-        // probe.
-        //
-        // Undelivered events must reach the cores (normally drained by
-        // the system right after each tick — this is a safety net).
-        // A pending commit is skipped over only while its retry is idle.
+        // probe. Undelivered events must reach the cores (normally
+        // drained by the system right after each tick — this is a
+        // safety net).
         if !self.events.is_empty()
-            || self.pending_tx_ends.iter().any(|&(core, tx)| !self.commit_retry_is_idle(core, tx))
+            || self.pending_tx_ends.iter().any(|&(core, tx)| !self.commit_blocked(core, tx))
+            || self.pcommits_done()
+            || !self.pending_writes.is_empty() && self.wpq_admits(None)
         {
             return Some(now);
-        }
-        if !self.pending_pcommits.is_empty()
-            && self.wpq.is_empty()
-            && self.pending_writes.is_empty()
-        {
-            return Some(now);
-        }
-        if let Some((line, _, kind)) = self.pending_writes.front() {
-            let fits = self.wpq.len() < self.cfg.wpq_entries
-                || (*kind == WriteKind::Data && self.lines.coalesces(*line));
-            if fits {
-                return Some(now);
-            }
         }
         let mut best: Option<Cycle> = None;
         let wake = |at: Cycle, best: &mut Option<Cycle>| {
@@ -2090,6 +2055,69 @@ mod tests {
         assert!(mc.is_quiescent(), "quiesced by {end}");
         // Recorded from the per-retry intake walk this closed form replaced.
         assert_eq!((mc.stats().wpq_full_rejections, mc.stats().lpq_full_rejections), (1027, 2999));
+    }
+
+    /// The commit gate holds an ATOM commit whose last log entry has
+    /// drained to NVMM while data write-backs fill the WPQ. A twin
+    /// controller without the commit shows that the held commit adds no
+    /// persist event and no wake-up of its own; the commit completes,
+    /// its marker durable, in the tick the WPQ takes the marker rewrite.
+    #[test]
+    fn a_blocked_atom_commit_waits_on_the_wpq_gate() {
+        let lay = layout();
+        let (core, tx) = (CoreId::new(0), TxId::new(1));
+        let slot = lay.log_slot(ThreadId::new(0), 0);
+        let build = || {
+            let mut mc = MemoryController::new(small_cfg(), lay.clone(), LogDrainMode::DrainAlways);
+            mc.set_record_persist_events(true);
+            let grain = Addr::new(0x1000_0000);
+            mc.submit(McRequest::AtomLog { grain, old_data: Some([1; 4]), core, tx, log_id: 0 }, 0);
+            // A log-kind WPQ entry always drains: the last entry escapes.
+            let (_, end) = run_until_quiescent(&mut mc, 0);
+            assert_eq!(mc.stats().nvmm_log_writes, 1);
+            for i in 0..8 {
+                mc.submit(writeback(i + 1, i, i), end + 1);
+            }
+            (mc, end + 1)
+        };
+        let (mut mc, start) = build();
+        let (mut twin, _) = build();
+        mc.submit(McRequest::TxEnd { core, tx }, start);
+        let tx_end_done = |events: &[McEvent]| {
+            events.iter().find_map(|e| match e {
+                McEvent::TxEndDone { at, .. } => Some(*at),
+                _ => None,
+            })
+        };
+        let (mut now, mut ticks) = (start, 0);
+        loop {
+            mc.tick(now);
+            twin.tick(now);
+            ticks += 1;
+            twin.drain_events();
+            assert_eq!(tx_end_done(&mc.drain_events()), None, "committed at {now}");
+            if !mc.commit_blocked(core, tx) {
+                break;
+            }
+            assert_eq!(mc.persist_seq(), twin.persist_seq(), "a persist event at {now}");
+            let next = mc.next_event_cycle(now + 1);
+            assert_eq!(next, twin.next_event_cycle(now + 1), "the commit woke the probe at {now}");
+            now = next.expect("write-backs are in flight");
+        }
+        // A write-back drained to NVMM at `now`: the next tick commits.
+        assert_eq!(mc.next_event_cycle(now + 1), Some(now + 1));
+        let done_at = now + 1;
+        mc.tick(done_at);
+        assert_eq!(tx_end_done(&mc.drain_events()), Some(done_at));
+        assert!(ticks < done_at - start, "{ticks} ticks over a {}-cycle wait", done_at - start);
+        let rewrite = mc.persist_timeline().last().copied().expect("the marker rewrite");
+        assert_eq!(rewrite.kind, PersistEventKind::WpqAccept { line: slot.line() });
+        assert_eq!(rewrite.at, done_at);
+        let durable =
+            |img: &WordImage| LogEntry::read_from(img, slot).is_some_and(|e| e.commit_marker);
+        assert!(durable(&mc.crash_image()), "the marker is durable on acceptance");
+        run_until_quiescent(&mut mc, done_at + 1);
+        assert!(durable(mc.nvmm()));
     }
 
     /// `log-save` after a commit: the forced drain writes the retained

@@ -246,9 +246,11 @@ impl System {
         &self.layout
     }
 
-    /// Whether every core has drained its trace.
+    /// Whether the machine has stopped: every core has drained its trace
+    /// or stopped on an exception, or the controller has (an ATOM
+    /// transaction overflowed its log area).
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(Core::is_done)
+        self.mc.fault().is_some() || self.cores.iter().all(Core::is_done)
     }
 
     /// Advances the machine by one cycle: ticks the cores in order, then
@@ -441,7 +443,8 @@ impl System {
     ///
     /// Returns [`SimError::InvalidConfig`] if the runaway guard trips,
     /// and [`SimError::LogAreaOverflow`] if a transaction overflowed its
-    /// log area (§4.1: the core raises an exception and stops).
+    /// log area (§4.1: the core, or ATOM's log engine in the controller,
+    /// raises an exception and the machine stops).
     pub fn run(&mut self) -> Result<RunSummary, SimError> {
         while !self.is_done() {
             if self.now >= self.max_cycles {
@@ -452,7 +455,7 @@ impl System {
             }
             self.advance(self.max_cycles);
         }
-        if let Some(fault) = self.cores.iter().find_map(Core::fault) {
+        if let Some(fault) = self.cores.iter().find_map(Core::fault).or(self.mc.fault()) {
             return Err(fault.clone());
         }
         Ok(self.summary())

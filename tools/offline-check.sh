@@ -28,6 +28,15 @@ do_test() {
     run cargo test -q -p proteus-sim --features paranoid --test integration_fastforward
     run cargo test -q -p proteus-sim --features paranoid --lib
     run cargo test -q -p proteus-crash --features proteus-sim/paranoid --test integration_crash
+    # The benchmark builds with --offline but not --locked, so a
+    # workspace change to a crate's path dependencies would silently
+    # rewrite perfbench/Cargo.lock at bench time: require the lock file
+    # to resolve unchanged. It is not tracked, so a fresh checkout has
+    # none until the smoke below writes it.
+    if [[ -f perfbench/Cargo.lock ]]; then
+        run cargo metadata --offline --locked --format-version 1 \
+            --manifest-path perfbench/Cargo.toml >/dev/null
+    fi
     # Smoke the benchmark (perfbench/, its own workspace) with one
     # traced pass of each workload: each exits non-zero unless the
     # pinned digests match and the benchmark's own copy of the step
