@@ -12,11 +12,14 @@
 #       (the roster's crash workloads: Table 2 rows plus the generated
 #       ycsb-a/indexer presets), a bounded `reproduce contention` sweep
 #       (the contended MQ/CH/LB workloads under every failure-safe
-#       scheme, judged by the cross-thread commit-prefix oracle, with
-#       the early_release lock-handoff fault caught, shrunk, and
-#       replayed through crashrepro), a record->replay op-trace round
-#       trip (`reproduce gen --workload indexer --file` then
-#       `reproduce replay --file`, which fails unless the replayed
+#       scheme, judged per structure against commit prefixes in
+#       lock-handoff order, with the early_release lock-handoff fault
+#       caught, shrunk, and replayed through crashrepro), a
+#       `cargo run --example crash_recovery` run (asserts every
+#       failure-safe scheme stays consistent and the broken-ordering
+#       core is caught, shrunk and replayed), a record->replay
+#       op-trace round trip (`reproduce gen --workload indexer --file`
+#       then `reproduce replay --file`, which fails unless the replayed
 #       workload and every scheme's RunSummary are byte-identical to
 #       regenerating from the trace header), a resume round trip
 #       (`reproduce fig8 --scale 0.002 --threads 2 --resume LEDGER`

@@ -48,9 +48,9 @@
 //! `contention` is the cross-thread counterpart: it explores crash
 //! points over the roster's contended shared-structure workloads
 //! (MPMC queue, contended hash maps, lock-coupled B-trees) under every
-//! failure-safe scheme, judged by the cross-thread commit-prefix
-//! oracle, and self-validates against the `early_release` lock-handoff
-//! fault knob.
+//! failure-safe scheme, judged against each structure's lock-ordered
+//! commit prefixes, and self-validates against the `early_release`
+//! lock-handoff fault knob.
 //!
 //! `trace` explains one cell, the deep dive behind Fig. 7: the
 //! `--workload` (default `qe`) under each `--scheme` (default

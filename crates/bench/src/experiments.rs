@@ -970,12 +970,12 @@ pub fn crashsweep(ctx: &ExperimentCtx) -> Result<String, SimError> {
 
 /// Contended crash sweep: the roster's contended shared-structure
 /// workloads (MPMC queue, contended hash maps, lock-coupled B-trees)
-/// explored under every failure-safe scheme with the cross-thread
-/// oracle — a recovered image must equal a commit prefix of each
-/// structure's lock-handoff order, closed under per-thread program
-/// order. Then the contended counterpart of the `crashsweep` self-test:
-/// the `early_release` fault knob (lock handoff reordered before the
-/// commit persist barrier) must be caught, shrunk, and replayed.
+/// explored under every failure-safe scheme with the crash oracle — a
+/// recovered image must equal a commit prefix of each structure's
+/// lock-handoff order, closed under per-thread program order. Then the
+/// contended counterpart of the `crashsweep` self-test: the
+/// `early_release` fault knob (lock handoff reordered before the commit
+/// persist barrier) must be caught, shrunk, and replayed.
 ///
 /// # Errors
 ///
@@ -1003,8 +1003,7 @@ pub fn contention(ctx: &ExperimentCtx) -> Result<String, SimError> {
         // The acceptance bar: >= 200 stratified crash points per cell.
         point_floor: 200,
         // A lock handed over before the group's commit persists: the
-        // cross-thread oracle must see a recovered image matching no
-        // commit prefix.
+        // oracle must see a recovered image matching no commit prefix.
         broken: ExploreSpec::new(
             ContendedSpec { kind: ContendedKind::MpmcQueue, early_release: true },
             WorkloadParams { threads: 3, init_ops: 64, sim_ops: 16, seed: 9 },

@@ -10,7 +10,7 @@
 
 use proteus_bench::experiments::ExperimentScale;
 use proteus_core::scheme::registry;
-use proteus_crash::{explore, ExploreSpec};
+use proteus_crash::{explore, ExploreSpec, WorkloadOracle};
 use proteus_sim::System;
 use proteus_types::config::LoggingSchemeKind;
 use proteus_workloads::{generate, Benchmark, WorkloadParams};
@@ -57,13 +57,16 @@ fn every_scheme_executes_every_table2_workload() {
     }
 }
 
-/// Every failure-safe scheme must survive a mid-run crash and produce
-/// a recovery report; non-failure-safe schemes are exempt (NoLog has
-/// nothing to recover from).
+/// Every failure-safe scheme must survive a mid-run crash, produce a
+/// recovery report and recover to an image the workload oracle accepts;
+/// non-failure-safe schemes are exempt (NoLog has nothing to recover
+/// from). This is the only single-owner oracle check PMEM+pcommit gets
+/// with ADR on: it sits outside the crash-sweep roster.
 #[test]
 fn every_failure_safe_scheme_recovers_from_a_midpoint_crash() {
     let params = smoke_params();
     let workload = generate(Benchmark::Queue, &params);
+    let oracle = WorkloadOracle::new(&workload);
     let cfg = proteus_types::config::SystemConfig::skylake_like().with_num_cores(2);
     for d in registry::all().iter().filter(|d| d.failure_safe) {
         let total = {
@@ -72,9 +75,12 @@ fn every_failure_safe_scheme_recovers_from_a_midpoint_crash() {
         };
         let mut m = System::new(&cfg, d.kind, &workload).expect("build");
         m.run_until(total / 2);
-        let (_, report) =
+        let (recovered, report) =
             m.crash_and_recover().unwrap_or_else(|e| panic!("{}: recovery failed: {e}", d.label));
         assert_eq!(report.outcomes.len(), params.threads, "{}: missing threads", d.label);
+        if let Err(v) = oracle.check(&recovered) {
+            panic!("{}: midpoint crash recovered inconsistently: {v}", d.label);
+        }
     }
 }
 

@@ -55,23 +55,6 @@ impl CorePolicy {
     pub const NONE: CorePolicy = CorePolicy { proteus_hw: false, atom_retirement: false };
 }
 
-/// How a scheme's commit protocol orders a ticket-lock release against
-/// its persist barriers — the contended-workload analogue of
-/// `failure_safe`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockHandoffPolicy {
-    /// The release store is emitted after the transaction's commit point
-    /// is durable (`tx-end` retires only once persists drain / the commit
-    /// record is fenced), so the next lock owner inherits durably
-    /// committed state. Required for a scheme to join the contention
-    /// sweep: it is what makes every structure's committed groups a
-    /// ticket-order prefix at any crash point.
-    DurableCommit,
-    /// The release may publish uncommitted state to the next owner.
-    /// Acceptable only for schemes with no crash-consistency claim.
-    SpeculativeOk,
-}
-
 /// Memory-controller LPQ policy for the scheme's log writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainPolicy {
@@ -101,8 +84,6 @@ pub struct SchemeDescriptor {
     pub core: CorePolicy,
     /// Memory-controller log drain policy.
     pub drain: DrainPolicy,
-    /// Lock-release-vs-persist ordering under contended workloads.
-    pub lock_handoff: LockHandoffPolicy,
     /// Whether the scheme guarantees crash consistency at transaction
     /// boundaries (NoLog deliberately does not).
     pub failure_safe: bool,
@@ -169,7 +150,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: recovery::recover_sw_thread,
         core: CorePolicy::NONE,
         drain: DrainPolicy::DrainAlways,
-        lock_handoff: LockHandoffPolicy::DurableCommit,
         failure_safe: true,
         crash_sweep: true,
         baseline: true,
@@ -185,7 +165,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: recovery::recover_sw_thread,
         core: CorePolicy::NONE,
         drain: DrainPolicy::DrainAlways,
-        lock_handoff: LockHandoffPolicy::DurableCommit,
         failure_safe: true,
         crash_sweep: false,
         baseline: false,
@@ -201,7 +180,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: recovery::recover_hw_thread,
         core: CorePolicy { proteus_hw: false, atom_retirement: true },
         drain: DrainPolicy::DrainAlways,
-        lock_handoff: LockHandoffPolicy::DurableCommit,
         failure_safe: true,
         crash_sweep: true,
         baseline: false,
@@ -217,7 +195,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: recovery::recover_hw_thread,
         core: CorePolicy { proteus_hw: true, atom_retirement: false },
         drain: DrainPolicy::DrainAlways,
-        lock_handoff: LockHandoffPolicy::DurableCommit,
         failure_safe: true,
         crash_sweep: true,
         baseline: false,
@@ -233,7 +210,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: recovery::recover_hw_thread,
         core: CorePolicy { proteus_hw: true, atom_retirement: false },
         drain: DrainPolicy::KeepUntilCommit,
-        lock_handoff: LockHandoffPolicy::DurableCommit,
         failure_safe: true,
         crash_sweep: true,
         baseline: false,
@@ -249,7 +225,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: incll::recover_thread,
         core: CorePolicy::NONE,
         drain: DrainPolicy::DrainAlways,
-        lock_handoff: LockHandoffPolicy::DurableCommit,
         failure_safe: true,
         crash_sweep: true,
         baseline: false,
@@ -265,7 +240,6 @@ pub static DESCRIPTORS: [SchemeDescriptor; 7] = [
         recover_thread: recover_none,
         core: CorePolicy::NONE,
         drain: DrainPolicy::DrainAlways,
-        lock_handoff: LockHandoffPolicy::SpeculativeOk,
         failure_safe: false,
         crash_sweep: false,
         baseline: false,
@@ -326,11 +300,12 @@ pub fn bench_basket() -> Vec<LoggingSchemeKind> {
     kinds_where(|d| d.bench_basket)
 }
 
-/// The contention-sweep roster: every failure-safe scheme whose commit
-/// protocol hands locks off durably (all of them — a failure-safe scheme
-/// with speculative handoff would be a contradiction, tested below).
+/// The contention-sweep roster: every failure-safe scheme. The contended
+/// generator emits each ticket release after `tx_end`, so it retires
+/// behind the scheme's commit persist protocol and every failure-safe
+/// scheme hands locks off durably.
 pub fn contention_roster() -> Vec<LoggingSchemeKind> {
-    kinds_where(|d| d.failure_safe && d.lock_handoff == LockHandoffPolicy::DurableCommit)
+    kinds_where(|d| d.failure_safe)
 }
 
 #[cfg(test)]
@@ -368,17 +343,12 @@ mod tests {
 
     #[test]
     fn failure_safe_schemes_hand_off_durably() {
-        for d in all() {
-            assert_eq!(
-                d.failure_safe,
-                d.lock_handoff == LockHandoffPolicy::DurableCommit,
-                "{}: failure-safety and durable lock handoff must agree",
-                d.label
-            );
-        }
+        // Every failure-safe scheme joins the contention sweep, whose
+        // oracle checks that its lock handoff is durable.
         let roster = contention_roster();
         assert_eq!(roster.len(), 6);
         assert!(!roster.contains(&LoggingSchemeKind::NoLog));
+        assert!(roster.contains(&LoggingSchemeKind::SwPmemPcommit));
     }
 
     #[test]

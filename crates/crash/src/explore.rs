@@ -12,14 +12,17 @@
 //!
 //! Exploration itself is single-pass: one fresh simulation steps forward,
 //! and each time the persist-event counter crosses the next chosen index
-//! the crash image is captured (with the spec's fault model applied),
-//! recovered, and judged by the [`ConsistencyOracle`]. Granularity is the
-//! simulation step: if several persist events land in one cycle, their
-//! crash images are identical, which is exactly why capturing at the
-//! step boundary after the counter crossed the index loses nothing.
+//! `crash_and_judge` captures the crash image (with the spec's fault
+//! model applied), recovers it, and judges it with the
+//! [`WorkloadOracle`]. A repro replay takes the same step once, on the
+//! same machine (`ExploreSpec::config`). Granularity is the simulation
+//! step: if several persist events land in one cycle, their crash images
+//! are identical, which is exactly why capturing at the step boundary
+//! after the counter crossed the index loses nothing.
 
 use crate::fault::FaultSpec;
 use crate::oracle::WorkloadOracle;
+use proteus_mem::CrashFaults;
 use proteus_sim::System;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
 use proteus_types::rng::SplitMix64;
@@ -78,6 +81,14 @@ impl ExploreSpec {
     pub fn spec_hash(&self) -> u64 {
         stable_hash_value(self)
     }
+
+    /// The machine every run of the spec builds: one core per thread,
+    /// with the broken-ordering knob as the spec sets it.
+    pub(crate) fn config(&self) -> SystemConfig {
+        SystemConfig::skylake_like()
+            .with_num_cores(self.params.threads.max(1))
+            .with_disable_persist_ordering(self.broken_ordering)
+    }
 }
 
 impl StableHash for ExploreSpec {
@@ -134,9 +145,7 @@ impl ExploreOutcome {
 pub fn explore(spec: &ExploreSpec) -> Result<ExploreOutcome, SimError> {
     let workload = spec.bench.generate(&spec.params);
     let oracle = WorkloadOracle::new(&workload);
-    let cfg = SystemConfig::skylake_like()
-        .with_num_cores(spec.params.threads.max(1))
-        .with_disable_persist_ordering(spec.broken_ordering);
+    let cfg = spec.config();
 
     // Pass 1: learn the persist-event count of the full execution. The
     // simulator is deterministic, so the replayed pass sees the same
@@ -149,29 +158,53 @@ pub fn explore(spec: &ExploreSpec) -> Result<ExploreOutcome, SimError> {
     let points = choose_points(total_events, spec.max_points, spec.spec_hash());
 
     // Pass 2: single forward sweep capturing each chosen point.
-    let faults = spec.fault.to_crash_faults();
     let mut m = System::new(&cfg, spec.scheme, &workload)?;
+    let violations = crash_points(&mut m, &points, &spec.fault.to_crash_faults(), &oracle);
+    Ok(ExploreOutcome { total_events, points_explored: points.len(), violations })
+}
+
+/// Takes `crash_and_judge` at each of the ascending `points` in turn on
+/// one machine and collects the violations. A run that ends before a
+/// point is reported there and ends the walk, since no later point is
+/// reachable: deterministic replays cannot fall short, so one that does
+/// is the hardest violation rather than silent under-exploration.
+fn crash_points(
+    m: &mut System,
+    points: &[u64],
+    faults: &CrashFaults,
+    oracle: &WorkloadOracle,
+) -> Vec<ViolationPoint> {
     let mut violations = Vec::new();
-    for &event in &points {
-        if !m.run_until_persist_event(event) {
-            // Deterministic replays cannot fall short; treat it as the
-            // hardest violation rather than silently under-exploring.
-            violations.push(ViolationPoint {
-                event,
-                detail: format!("replay produced fewer than {event} persist events"),
-            });
-            break;
-        }
-        match m.crash_and_recover_with(&faults) {
-            Ok((recovered, _report)) => {
-                if let Err(detail) = oracle.check(&recovered) {
-                    violations.push(ViolationPoint { event, detail });
-                }
+    for &event in points {
+        if let Err(detail) = crash_and_judge(m, event, faults, oracle) {
+            violations.push(ViolationPoint { event, detail });
+            if m.persist_seq() < event {
+                break;
             }
-            Err(e) => violations.push(ViolationPoint { event, detail: e.to_string() }),
         }
     }
-    Ok(ExploreOutcome { total_events, points_explored: points.len(), violations })
+    violations
+}
+
+/// Runs `m` on to persist event `event`, crashes it under `faults`,
+/// recovers, and judges the recovered image.
+///
+/// # Errors
+///
+/// Returns the violation's detail: the oracle's diagnosis, the recovery
+/// error (a log image recovery cannot even parse is the strongest
+/// consistency failure), or a run that ended before `event`.
+pub(crate) fn crash_and_judge(
+    m: &mut System,
+    event: u64,
+    faults: &CrashFaults,
+    oracle: &WorkloadOracle,
+) -> Result<(), String> {
+    if !m.run_until_persist_event(event) {
+        return Err(format!("replay produced fewer than {event} persist events"));
+    }
+    let (recovered, _report) = m.crash_and_recover_with(faults).map_err(|e| e.to_string())?;
+    oracle.check(&recovered)
 }
 
 /// Picks the crash points: `1..=total` when it fits the budget, else one
@@ -228,6 +261,27 @@ mod tests {
         assert_ne!(base.spec_hash(), broken.spec_hash());
         assert!(base.name().contains("QE") && base.name().contains("clean"));
         assert!(broken.name().ends_with("/broken"));
+    }
+
+    #[test]
+    fn a_replay_that_falls_short_ends_the_walk() {
+        let spec = ExploreSpec::new(
+            Benchmark::Queue,
+            WorkloadParams { threads: 1, init_ops: 20, sim_ops: 3, seed: 5 },
+            LoggingSchemeKind::Proteus,
+            24,
+        );
+        let workload = spec.bench.generate(&spec.params);
+        let oracle = WorkloadOracle::new(&workload);
+        let faults = spec.fault.to_crash_faults();
+        let mut m = System::new(&spec.config(), spec.scheme, &workload).unwrap();
+        m.run().unwrap();
+        let total = m.persist_seq();
+
+        let mut m = System::new(&spec.config(), spec.scheme, &workload).unwrap();
+        let violations = crash_points(&mut m, &[1, total, total + 1, total + 2], &faults, &oracle);
+        let expected = format!("replay produced fewer than {} persist events", total + 1);
+        assert_eq!(violations, vec![ViolationPoint { event: total + 1, detail: expected }]);
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! recovery always land on a transaction boundary?** It answers it
 //! systematically instead of anecdotally:
 //!
-//! * [`oracle`] — the transaction-consistency oracles: per-thread
-//!   functional snapshots at every commit for the share-nothing
-//!   benchmarks, and per-structure commit-prefix matching (cross-thread,
-//!   lock-handoff ordered) for contended workloads, dispatched by
-//!   [`oracle::WorkloadOracle`] so every consumer (explorer, shrinker,
-//!   replayer, property tests, example) shares one judgement.
+//! * [`oracle`] — the transaction-consistency oracle,
+//!   [`oracle::WorkloadOracle`]: a recovered image must equal, per
+//!   structure, a commit prefix of its groups, closed under every
+//!   thread's program order. A contended workload's structures and lock
+//!   groups come from its sharing plan; a share-nothing thread is one
+//!   structure whose groups are its transactions. Every consumer
+//!   (explorer, shrinker, replayer, property tests, example) shares this
+//!   one judgement.
 //! * [`fault`] — crash fault models beyond the clean ADR drain: torn
 //!   64-byte line writes, prefix-only battery drains, dropped in-flight
 //!   requests.
@@ -39,11 +41,6 @@ pub mod sweep;
 
 pub use explore::{choose_points, explore, ExploreOutcome, ExploreSpec, ViolationPoint};
 pub use fault::FaultSpec;
-pub use oracle::{
-    ConsistencyOracle, CrossThreadOracle, CrossThreadViolation, Violation, WorkloadOracle,
-};
-pub use repro::{
-    explore_spec_from_json, explore_spec_to_json, fault_from_json, fault_to_json, shrink,
-    CrashRepro, ReplayOutcome, REPRO_VERSION,
-};
+pub use oracle::WorkloadOracle;
+pub use repro::{shrink, CrashRepro, ReplayOutcome, REPRO_VERSION};
 pub use sweep::sweep;

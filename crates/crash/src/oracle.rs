@@ -1,316 +1,260 @@
 //! The transaction-consistency oracle.
 //!
-//! The durable promise every failure-safe scheme makes is: after a crash
-//! and recovery, each thread's data is exactly the state *after some
-//! prefix of its committed transactions* — never a torn mid-transaction
-//! state. Because the workloads are share-nothing (each thread owns one
-//! arena, [`proteus_workloads::thread_arena`]), the promise decomposes
-//! per thread, so the oracle precomputes, for every thread, the functional
-//! memory state after each transaction and accepts a recovered image iff
-//! each thread's arena matches one of its snapshots.
+//! Every failure-safe scheme makes one durable promise: after a crash and
+//! recovery, every transaction is either wholly durable or wholly absent,
+//! and what is durable respects commit order. The oracle states that
+//! promise once, over **commit groups**: a group is the writes one
+//! transaction commits, and a structure is a sequence of groups that
+//! commit in a fixed order. A recovered image is consistent iff
 //!
-//! This oracle started life inside the crash-consistency property test;
-//! it is promoted here so the systematic explorer, the shrinker, the
-//! repro replayer, the property tests, and the example all judge images
-//! with the one implementation.
+//! * every word of the guarded region that no group writes still holds
+//!   its initial value (a diff there is a stray or torn write);
+//! * each structure's words equal its initial words plus the writes of a
+//!   *prefix* of its groups;
+//! * the chosen prefixes respect every thread's program order: a thread's
+//!   later group cannot be durable without its earlier ones, because its
+//!   earlier `tx_end` persist protocol completed first.
+//!
+//! The workload decides only where the groups come from:
+//!
+//! * **Contended** workloads carry a [`SharingPlan`]: one structure per
+//!   shared structure, its lock groups in ticket (lock-handoff) order, and
+//!   the guarded region is the shared arena.
+//! * **Single-owner** workloads are one structure per thread: each
+//!   transaction is a group whose writes are its [`Op::Write`]s inside the
+//!   thread's own arena ([`thread_arena`]) up to its `TxEnd`, and the
+//!   guarded region is the threads' arenas.
+//!
+//! Words outside the guarded region (log areas, flags, other metadata)
+//! are ignored: they may legitimately hold live log entries or stamped
+//! markers. Structures never share a word (arenas are disjoint, and
+//! [`proteus_workloads::mem::NodeAlloc`] never recycles a node), so each
+//! structure's matching prefix lengths are found independently; a final
+//! search over their (tiny) cartesian product handles write-aliasing,
+//! where several prefix lengths reproduce the same words.
+//!
+//! The explorer, the shrinker, the repro replayer, the property tests and
+//! the example all judge images with this one oracle.
 
 use proteus_core::pmem::WordImage;
-use proteus_core::program::{Op, Program};
+use proteus_core::program::Op;
 use proteus_types::sharing::{SHARED_ARENA_BASE, SHARED_ARENA_SIZE};
-use proteus_types::{Addr, SimError, ThreadId};
+use proteus_types::{Addr, ThreadId};
 use proteus_workloads::{thread_arena, GeneratedWorkload, SharingPlan};
 use std::collections::BTreeSet;
-use std::fmt;
 
-/// How many differing addresses a [`Violation`] keeps for diagnosis.
+/// How many differing addresses a violation names for diagnosis.
 const SAMPLE_ADDRS: usize = 4;
 
-/// Evidence that a recovered image matches no transaction boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// The thread whose arena is torn.
-    pub thread: ThreadId,
-    /// Snapshot count the arena was compared against.
-    pub candidates: usize,
-    /// Fewest in-arena differing words against any snapshot.
-    pub best_distance: usize,
-    /// Sample of differing addresses against the closest snapshot.
-    pub sample: Vec<Addr>,
-}
-
-impl Violation {
-    /// Renders the violation as the typed simulator error.
-    pub fn to_error(&self) -> SimError {
-        SimError::ConsistencyViolation(self.to_string())
-    }
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} matches none of {} boundary states (closest differs in {} words, e.g. {:?})",
-            self.thread, self.candidates, self.best_distance, self.sample
-        )
-    }
-}
-
-/// Per-thread transaction-boundary snapshots for one workload.
+/// The commit groups of one workload, folded per structure, and the
+/// region their writes must stay inside.
 #[derive(Debug, Clone)]
-pub struct ConsistencyOracle {
-    threads: Vec<ThreadId>,
-    snapshots: Vec<Vec<WordImage>>,
-}
-
-impl ConsistencyOracle {
-    /// Precomputes the boundary states: for each thread, the initial
-    /// image followed by the functional state after each of its
-    /// transactions.
-    pub fn new(workload: &GeneratedWorkload) -> Self {
-        let mut threads = Vec::with_capacity(workload.programs.len());
-        let mut snapshots = Vec::with_capacity(workload.programs.len());
-        for program in &workload.programs {
-            threads.push(program.thread);
-            let mut states = vec![workload.initial_image.clone()];
-            let mut img = workload.initial_image.clone();
-            let mut tx = Program::new(program.thread);
-            for op in &program.ops {
-                tx.ops.push(op.clone());
-                if matches!(op, Op::TxEnd) {
-                    tx.apply_functionally(&mut img);
-                    states.push(img.clone());
-                    tx.ops.clear();
-                }
-            }
-            snapshots.push(states);
-        }
-        ConsistencyOracle { threads, snapshots }
-    }
-
-    /// The threads the oracle covers, in program order.
-    pub fn threads(&self) -> &[ThreadId] {
-        &self.threads
-    }
-
-    /// Checks a recovered image: every thread's arena must equal one of
-    /// its boundary states. Addresses outside all arenas (log areas,
-    /// flags, other metadata) are ignored — they may legitimately hold
-    /// live log entries or stamped markers.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Violation`] in thread order.
-    pub fn check(&self, recovered: &WordImage) -> Result<(), Violation> {
-        for (t, states) in self.snapshots.iter().enumerate() {
-            let thread = self.threads[t];
-            let (lo, hi) = thread_arena(thread);
-            let mut best_distance = usize::MAX;
-            let mut sample = Vec::new();
-            let consistent = states.iter().any(|snap| {
-                let torn: Vec<Addr> =
-                    recovered.diff(snap).into_iter().filter(|a| *a >= lo && *a < hi).collect();
-                if torn.is_empty() {
-                    return true;
-                }
-                if torn.len() < best_distance {
-                    best_distance = torn.len();
-                    sample = torn.into_iter().take(SAMPLE_ADDRS).collect();
-                }
-                false
-            });
-            if !consistent {
-                return Err(Violation { thread, candidates: states.len(), best_distance, sample });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Evidence that a recovered image of a *contended* workload matches no
-/// cross-thread-consistent commit state (see [`CrossThreadOracle`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrossThreadViolation {
-    /// Human-readable diagnosis.
-    pub detail: String,
-}
-
-impl CrossThreadViolation {
-    /// Renders the violation as the typed simulator error.
-    pub fn to_error(&self) -> SimError {
-        SimError::ConsistencyViolation(self.to_string())
-    }
-}
-
-impl fmt::Display for CrossThreadViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.detail)
-    }
-}
-
-/// Per-structure commit-prefix states for one contended workload.
-///
-/// The per-thread oracle's promise does not survive sharing: a thread's
-/// committed writes land in structures other threads also mutate, so
-/// "each arena equals a boundary state of its owner" is meaningless.
-/// What a contended workload *does* promise is fixed at generation time:
-/// the [`SharingPlan`] records one global schedule, and the ticket locks
-/// force each structure's transactions to commit in exactly its ticket
-/// order, with every failure-safe scheme making the lock handoff durable
-/// (the release store retires only after the commit-point persist
-/// protocol). A recovered image is therefore consistent iff it equals
-/// the initial image plus, **per structure, the writes of a prefix of
-/// that structure's groups in ticket order** — and the per-structure
-/// prefixes must agree with per-thread program order (a thread's later
-/// group cannot have committed without its earlier ones, because its
-/// earlier `tx_end` retired first).
-///
-/// Structures never share nodes ([`proteus_workloads::mem::NodeAlloc`]
-/// does not recycle), so the per-structure folds touch disjoint
-/// addresses and each structure's matching prefix lengths can be found
-/// independently; a final search over the (tiny) cartesian product
-/// handles write-aliasing, where several prefix lengths reproduce the
-/// same bytes.
-#[derive(Debug, Clone)]
-pub struct CrossThreadOracle {
+pub struct WorkloadOracle {
     initial: WordImage,
-    structures: Vec<StructurePrefixes>,
-    /// Per thread: `(structure, per_structure_index)` of its groups, in
-    /// program order — the closure relation the prefix choice must obey.
+    /// Named `[lo, hi)` ranges in which every word no group writes must
+    /// keep its initial value.
+    guarded: Vec<(String, Addr, Addr)>,
+    structures: Vec<Structure>,
+    /// Per thread: `(structure, index within the structure)` of its
+    /// groups, in program order — the closure the prefix choice obeys.
     thread_groups: Vec<(ThreadId, Vec<(usize, usize)>)>,
 }
 
-/// Prefix-fold states of one shared structure.
+/// One structure's groups in commit order, over its footprint.
 #[derive(Debug, Clone)]
-struct StructurePrefixes {
-    /// Sorted union of every address the structure's groups write.
+struct Structure {
+    /// What a violation calls it: the owning thread or `structure <s>`.
+    name: String,
+    /// Sorted union of every address the groups write.
     footprint: Vec<Addr>,
-    /// `states[k][j]` = value of `footprint[j]` after the first `k`
-    /// groups (ticket order); `states[0]` is the initial image.
-    states: Vec<Vec<u64>>,
+    /// The initial value of each footprint word.
+    initial: Vec<u64>,
+    /// Per group: `(footprint index, value)` writes, in emission order.
+    groups: Vec<Vec<(usize, u64)>>,
 }
 
-impl StructurePrefixes {
-    /// Prefix lengths whose fold matches `recovered` over the
-    /// footprint; on no match, the closest candidate's distance and a
-    /// word sample for diagnosis.
-    fn matching_prefixes(&self, recovered: &WordImage) -> Result<Vec<usize>, (usize, Vec<Addr>)> {
-        let actual: Vec<u64> = self.footprint.iter().map(|a| recovered.read_word(*a)).collect();
-        let matches: Vec<usize> =
-            (0..self.states.len()).filter(|&k| self.states[k] == actual).collect();
-        if !matches.is_empty() {
-            return Ok(matches);
+impl Structure {
+    /// The footprint's words after the first `k` groups.
+    fn state(&self, k: usize) -> Vec<u64> {
+        let mut state = self.initial.clone();
+        for &(j, v) in self.groups[..k].iter().flatten() {
+            state[j] = v;
         }
-        let mut best_distance = usize::MAX;
-        let mut sample = Vec::new();
-        for state in &self.states {
-            let torn: Vec<Addr> = self
-                .footprint
-                .iter()
-                .zip(state)
-                .zip(&actual)
-                .filter(|((_, want), got)| want != got)
-                .map(|((a, _), _)| *a)
-                .collect();
-            if torn.len() < best_distance {
-                best_distance = torn.len();
-                sample = torn.into_iter().take(SAMPLE_ADDRS).collect();
-            }
-        }
-        Err((best_distance, sample))
-    }
-}
-
-impl CrossThreadOracle {
-    /// Precomputes each structure's prefix-fold states and the
-    /// per-thread group order from the workload's sharing plan.
-    pub fn new(initial: &WordImage, plan: &SharingPlan) -> Self {
-        let nstruct = plan.locks.len();
-        let mut structures = Vec::with_capacity(nstruct);
-        for s in 0..nstruct {
-            let footprint: Vec<Addr> = plan
-                .groups_of(s)
-                .flat_map(|g| g.writes.iter().map(|(a, _)| *a))
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let mut current: Vec<u64> = footprint.iter().map(|a| initial.read_word(*a)).collect();
-            let mut states = vec![current.clone()];
-            for g in plan.groups_of(s) {
-                for (a, v) in &g.writes {
-                    let j = footprint.binary_search(a).expect("write address is in the footprint");
-                    current[j] = *v;
-                }
-                states.push(current.clone());
-            }
-            structures.push(StructurePrefixes { footprint, states });
-        }
-
-        let mut thread_groups: Vec<(ThreadId, Vec<(usize, usize)>)> = Vec::new();
-        let mut per_structure_index = vec![0usize; nstruct];
-        for g in &plan.groups {
-            let i = per_structure_index[g.structure];
-            per_structure_index[g.structure] += 1;
-            match thread_groups.iter_mut().find(|(t, _)| *t == g.thread) {
-                Some((_, v)) => v.push((g.structure, i)),
-                None => thread_groups.push((g.thread, vec![(g.structure, i)])),
-            }
-        }
-
-        CrossThreadOracle { initial: initial.clone(), structures, thread_groups }
+        state
     }
 
-    /// Checks a recovered image against the plan's commit semantics.
+    /// The prefix lengths whose fold matches `recovered` over the
+    /// footprint. Folds the groups once, keeping each prefix's count of
+    /// differing words.
     ///
     /// # Errors
     ///
-    /// Returns a [`CrossThreadViolation`] if any shared-arena word
-    /// outside every footprint changed, any structure matches no commit
-    /// prefix, or no per-structure prefix choice respects every
-    /// thread's program order.
-    pub fn check(&self, recovered: &WordImage) -> Result<(), CrossThreadViolation> {
-        // Shared-arena words no group ever writes must still hold their
-        // initial values — a diff there is a stray or torn write.
-        let stray: Vec<Addr> = recovered
-            .diff(&self.initial)
-            .into_iter()
-            .filter(|a| {
-                let raw = a.raw();
-                (SHARED_ARENA_BASE..SHARED_ARENA_BASE + SHARED_ARENA_SIZE).contains(&raw)
-                    && !self.structures.iter().any(|s| s.footprint.binary_search(a).is_ok())
-            })
+    /// On no match, names the closest prefix's distance and a sample of
+    /// its differing words.
+    fn matching_prefixes(&self, recovered: &WordImage) -> Result<Vec<usize>, String> {
+        let actual: Vec<u64> = self.footprint.iter().map(|a| recovered.read_word(*a)).collect();
+        let mut state = self.initial.clone();
+        let mut differing = state.iter().zip(&actual).filter(|(want, got)| want != got).count();
+        let mut distances = vec![differing];
+        for group in &self.groups {
+            for &(j, v) in group {
+                differing -= usize::from(state[j] != actual[j]);
+                state[j] = v;
+                differing += usize::from(state[j] != actual[j]);
+            }
+            distances.push(differing);
+        }
+        let matches: Vec<usize> = (0..distances.len()).filter(|&k| distances[k] == 0).collect();
+        if !matches.is_empty() {
+            return Ok(matches);
+        }
+        let closest = (0..distances.len()).min_by_key(|&k| distances[k]).unwrap_or(0);
+        let sample: Vec<Addr> = self
+            .state(closest)
+            .iter()
+            .zip(&actual)
+            .zip(&self.footprint)
+            .filter(|((want, got), _)| want != got)
+            .map(|(_, a)| *a)
             .take(SAMPLE_ADDRS)
             .collect();
-        if !stray.is_empty() {
-            return Err(CrossThreadViolation {
-                detail: format!("shared-arena words outside every write set changed: {stray:?}"),
-            });
-        }
+        Err(format!(
+            "{} matches no commit prefix of {} groups (closest differs in {} words, e.g. {sample:?})",
+            self.name,
+            self.groups.len(),
+            distances[closest]
+        ))
+    }
+}
 
-        let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(self.structures.len());
-        for (s, prefixes) in self.structures.iter().enumerate() {
-            match prefixes.matching_prefixes(recovered) {
-                Ok(ks) => candidates.push(ks),
-                Err((best_distance, sample)) => {
-                    return Err(CrossThreadViolation {
-                        detail: format!(
-                            "structure {s} matches no commit prefix of {} groups \
-                             (closest differs in {best_distance} words, e.g. {sample:?})",
-                            prefixes.states.len() - 1
-                        ),
-                    });
-                }
+/// One commit group: `(thread, structure, writes)`.
+type Group = (ThreadId, usize, Vec<(Addr, u64)>);
+
+/// A single-owner workload's groups: each thread's transactions, one
+/// structure per thread, each group holding the transaction's writes
+/// inside the thread's arena.
+fn transaction_groups(workload: &GeneratedWorkload) -> Vec<Group> {
+    let mut groups = Vec::new();
+    for (s, program) in workload.programs.iter().enumerate() {
+        let (lo, hi) = thread_arena(program.thread);
+        let mut writes = Vec::new();
+        for op in &program.ops {
+            match op {
+                Op::Write(a, v) if (lo..hi).contains(a) => writes.push((*a, *v)),
+                Op::TxEnd => groups.push((program.thread, s, std::mem::take(&mut writes))),
+                _ => {}
+            }
+        }
+    }
+    groups
+}
+
+/// A contended workload's groups: the plan's lock groups, in global
+/// schedule order.
+fn lock_groups(plan: &SharingPlan) -> Vec<Group> {
+    plan.groups.iter().map(|g| (g.thread, g.structure, g.writes.clone())).collect()
+}
+
+impl WorkloadOracle {
+    /// Collects the workload's commit groups and folds them per
+    /// structure.
+    pub fn new(workload: &GeneratedWorkload) -> Self {
+        let initial = &workload.initial_image;
+        let (names, guarded, groups): (Vec<String>, _, _) = match &workload.sharing {
+            Some(plan) => (
+                (0..plan.locks.len()).map(|s| format!("structure {s}")).collect(),
+                vec![(
+                    "shared arena".to_string(),
+                    Addr::new(SHARED_ARENA_BASE),
+                    Addr::new(SHARED_ARENA_BASE + SHARED_ARENA_SIZE),
+                )],
+                lock_groups(plan),
+            ),
+            None => (
+                workload.programs.iter().map(|p| p.thread.to_string()).collect(),
+                workload
+                    .programs
+                    .iter()
+                    .map(|p| {
+                        let (lo, hi) = thread_arena(p.thread);
+                        (format!("{} arena", p.thread), lo, hi)
+                    })
+                    .collect(),
+                transaction_groups(workload),
+            ),
+        };
+
+        let mut structures: Vec<Structure> = names
+            .into_iter()
+            .enumerate()
+            .map(|(s, name)| {
+                let footprint: Vec<Addr> = groups
+                    .iter()
+                    .filter(|g| g.1 == s)
+                    .flat_map(|g| g.2.iter().map(|(a, _)| *a))
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                let initial = footprint.iter().map(|a| initial.read_word(*a)).collect();
+                Structure { name, footprint, initial, groups: Vec::new() }
+            })
+            .collect();
+        let mut thread_groups: Vec<(ThreadId, Vec<(usize, usize)>)> = Vec::new();
+        for (thread, s, writes) in groups {
+            let structure = &mut structures[s];
+            let index = structure.groups.len();
+            let footprint = &structure.footprint;
+            structure.groups.push(
+                writes
+                    .iter()
+                    .map(|(a, v)| (footprint.binary_search(a).expect("written word"), *v))
+                    .collect(),
+            );
+            match thread_groups.iter_mut().find(|(t, _)| *t == thread) {
+                Some((_, v)) => v.push((s, index)),
+                None => thread_groups.push((thread, vec![(s, index)])),
+            }
+        }
+        WorkloadOracle { initial: initial.clone(), guarded, structures, thread_groups }
+    }
+
+    /// Checks a recovered image: stray words first, then each
+    /// structure's prefix, then the prefixes' program order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation, rendered for a report: the guarded
+    /// range or structure it is in, a word count and sample addresses.
+    pub fn check(&self, recovered: &WordImage) -> Result<(), String> {
+        let changed = recovered.diff(&self.initial);
+        for (name, lo, hi) in &self.guarded {
+            let stray: Vec<Addr> = changed
+                .iter()
+                .copied()
+                .filter(|a| (lo..hi).contains(&a))
+                .filter(|a| !self.structures.iter().any(|s| s.footprint.binary_search(a).is_ok()))
+                .collect();
+            if !stray.is_empty() {
+                return Err(format!(
+                    "{name} has {} changed words outside every write set (e.g. {:?})",
+                    stray.len(),
+                    &stray[..stray.len().min(SAMPLE_ADDRS)]
+                ));
             }
         }
 
+        let candidates = self
+            .structures
+            .iter()
+            .map(|s| s.matching_prefixes(recovered))
+            .collect::<Result<Vec<_>, _>>()?;
         if self.search_consistent_choice(&mut vec![0; candidates.len()], &candidates, 0) {
             Ok(())
         } else {
-            Err(CrossThreadViolation {
-                detail: format!(
-                    "per-structure commit prefixes {candidates:?} all violate some thread's \
-                     program order (a later group committed without an earlier one)"
-                ),
-            })
+            Err(format!(
+                "per-structure commit prefixes {candidates:?} all violate some thread's \
+                 program order (a later group committed without an earlier one)"
+            ))
         }
     }
 
@@ -318,7 +262,7 @@ impl CrossThreadOracle {
     /// one choice that is prefix-closed under every thread's program
     /// order. The product is tiny in practice: aliasing beyond one or
     /// two adjacent prefix lengths needs a group whose writes are
-    /// byte-identical to its predecessor's.
+    /// word-identical to its predecessor's.
     fn search_consistent_choice(
         &self,
         choice: &mut Vec<usize>,
@@ -345,47 +289,10 @@ impl CrossThreadOracle {
     }
 }
 
-/// The oracle a workload actually needs: per-thread boundary snapshots
-/// for the share-nothing benchmarks, cross-thread commit prefixes when
-/// the workload carries a [`SharingPlan`]. Every judgement site
-/// (explorer, shrinker, replayer, property tests) dispatches through this so
-/// contended and single-owner specs flow through identical machinery.
-#[derive(Debug, Clone)]
-pub enum WorkloadOracle {
-    /// Share-nothing workload: per-thread transaction boundaries.
-    PerThread(ConsistencyOracle),
-    /// Contended workload: global commit-prefix semantics.
-    CrossThread(CrossThreadOracle),
-}
-
-impl WorkloadOracle {
-    /// Builds the oracle matching the workload's sharing shape.
-    pub fn new(workload: &GeneratedWorkload) -> Self {
-        match &workload.sharing {
-            Some(plan) => {
-                WorkloadOracle::CrossThread(CrossThreadOracle::new(&workload.initial_image, plan))
-            }
-            None => WorkloadOracle::PerThread(ConsistencyOracle::new(workload)),
-        }
-    }
-
-    /// Checks a recovered image; the error is the violation rendered
-    /// exactly as the underlying oracle displays it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation's display string.
-    pub fn check(&self, recovered: &WordImage) -> Result<(), String> {
-        match self {
-            WorkloadOracle::PerThread(o) => o.check(recovered).map_err(|v| v.to_string()),
-            WorkloadOracle::CrossThread(o) => o.check(recovered).map_err(|v| v.to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_core::program::Program;
     use proteus_workloads::{generate, Benchmark, WorkloadParams};
 
     fn workload() -> GeneratedWorkload {
@@ -398,15 +305,15 @@ mod tests {
     #[test]
     fn initial_image_is_always_consistent() {
         let w = workload();
-        let oracle = ConsistencyOracle::new(&w);
-        assert_eq!(oracle.threads().len(), 2);
+        let oracle = WorkloadOracle::new(&w);
+        assert_eq!(oracle.structures.len(), 2);
         assert!(oracle.check(&w.initial_image).is_ok());
     }
 
     #[test]
     fn final_boundary_states_are_consistent() {
         let w = workload();
-        let oracle = ConsistencyOracle::new(&w);
+        let oracle = WorkloadOracle::new(&w);
         // Compose each thread's final state into one image: committed
         // work by every thread is a valid recovery target.
         let mut img = w.initial_image.clone();
@@ -421,21 +328,40 @@ mod tests {
     #[test]
     fn a_torn_arena_word_is_a_violation() {
         let w = workload();
-        let oracle = ConsistencyOracle::new(&w);
+        let oracle = WorkloadOracle::new(&w);
+        let thread = w.programs[0].thread;
+        let (lo, hi) = thread_arena(thread);
+
+        // A word a transaction writes: no prefix of the thread's
+        // transactions matches, and the violation names the thread, the
+        // closest distance and the word.
+        let written = w.programs[0]
+            .ops
+            .iter()
+            .find_map(|op| match op {
+                Op::Write(a, _) if (lo..hi).contains(a) => Some(*a),
+                _ => None,
+            })
+            .expect("the queue writes its arena");
         let mut img = w.initial_image.clone();
-        let (lo, _) = thread_arena(w.programs[0].thread);
-        let victim = lo;
-        img.write_word(victim, img.read_word(victim) ^ 0xDEAD_BEEF);
+        img.write_word(written, img.read_word(written) ^ 0xDEAD_BEEF);
         let v = oracle.check(&img).unwrap_err();
-        assert_eq!(v.thread, w.programs[0].thread);
-        assert!(v.best_distance >= 1);
-        assert!(v.to_error().to_string().contains("crash-consistency violation"));
+        assert!(v.starts_with(&format!("{thread} matches no commit prefix")), "{v}");
+        assert!(v.contains("closest differs in 1 words"), "{v}");
+        assert!(v.contains(&format!("{written:?}")), "{v}");
+
+        // An arena word no transaction writes must keep its initial value.
+        let unwritten = Addr::new(hi.raw() - 8);
+        let mut img = w.initial_image.clone();
+        img.write_word(unwritten, img.read_word(unwritten) ^ 0xDEAD_BEEF);
+        let v = oracle.check(&img).unwrap_err();
+        assert!(v.starts_with(&format!("{thread} arena has 1 changed words")), "{v}");
     }
 
     #[test]
     fn writes_outside_every_arena_are_ignored() {
         let w = workload();
-        let oracle = ConsistencyOracle::new(&w);
+        let oracle = WorkloadOracle::new(&w);
         let mut img = w.initial_image.clone();
         img.write_word(Addr::new(8), 0x1234);
         assert!(oracle.check(&img).is_ok());
@@ -444,9 +370,7 @@ mod tests {
     mod cross_thread {
         use super::*;
         use proteus_types::sharing::struct_lock_addr;
-        use proteus_workloads::{
-            generate_contended, ContendedKind, ContendedSpec, LockGroup, SharingPlan,
-        };
+        use proteus_workloads::{generate_contended, ContendedKind, ContendedSpec, LockGroup};
 
         fn contended() -> GeneratedWorkload {
             generate_contended(
@@ -469,7 +393,7 @@ mod tests {
         fn every_global_schedule_prefix_is_consistent() {
             let w = contended();
             let plan = w.sharing.as_ref().unwrap();
-            let oracle = CrossThreadOracle::new(&w.initial_image, plan);
+            let oracle = WorkloadOracle::new(&w);
             // Prefixes of the *global* schedule induce per-structure
             // ticket prefixes and are trivially thread-closed.
             for n in 0..=plan.groups.len() {
@@ -480,13 +404,21 @@ mod tests {
         }
 
         #[test]
-        fn dispatch_follows_the_sharing_plan() {
-            let w = contended();
-            let oracle = WorkloadOracle::new(&w);
-            assert!(matches!(oracle, WorkloadOracle::CrossThread(_)));
-            assert!(oracle.check(&w.initial_image).is_ok());
-            let single = workload();
-            assert!(matches!(WorkloadOracle::new(&single), WorkloadOracle::PerThread(_)));
+        fn guarded_region_follows_the_sharing_plan() {
+            // A single-owner workload guards its threads' arenas, a
+            // contended one the shared arena, and each ignores the other.
+            let shared = Addr::new(SHARED_ARENA_BASE + SHARED_ARENA_SIZE - 8);
+            let (arena, _) = thread_arena(ThreadId::new(0));
+            let changed = |w: &GeneratedWorkload, a: Addr| {
+                let mut img = w.initial_image.clone();
+                img.write_word(a, img.read_word(a) ^ 0xBAD);
+                WorkloadOracle::new(w).check(&img)
+            };
+            let (single, contended) = (workload(), contended());
+            assert!(changed(&single, shared).is_ok());
+            assert!(changed(&single, arena).is_err());
+            assert!(changed(&contended, arena).is_ok());
+            assert!(changed(&contended, shared).is_err());
         }
 
         #[test]
@@ -495,7 +427,7 @@ mod tests {
             // while a lower-ticket group of the same structure is not.
             let w = contended();
             let plan = w.sharing.as_ref().unwrap();
-            let oracle = CrossThreadOracle::new(&w.initial_image, plan);
+            let oracle = WorkloadOracle::new(&w);
             let groups: Vec<&LockGroup> = plan.groups_of(0).collect();
             // Find a skippable pair: group k writes a word no later
             // group rewrites, and group k+1 writes something.
@@ -512,21 +444,19 @@ mod tests {
                 groups[..skip].iter().chain(&groups[keep..=keep]).copied().collect();
             let img = fold(&w.initial_image, &chosen);
             let v = oracle.check(&img).unwrap_err();
-            assert!(v.detail.contains("matches no commit prefix"), "{}", v.detail);
-            assert!(v.to_error().to_string().contains("crash-consistency violation"));
+            assert!(v.starts_with("structure 0 matches no commit prefix"), "{v}");
         }
 
         #[test]
         fn a_torn_unwritten_arena_word_is_a_violation() {
             let w = contended();
-            let plan = w.sharing.as_ref().unwrap();
-            let oracle = CrossThreadOracle::new(&w.initial_image, plan);
+            let oracle = WorkloadOracle::new(&w);
             let mut img = w.initial_image.clone();
             // The arena's last word is far beyond any allocated node.
             let victim = Addr::new(SHARED_ARENA_BASE + SHARED_ARENA_SIZE - 8);
             img.write_word(victim, 0xBAD);
             let v = oracle.check(&img).unwrap_err();
-            assert!(v.detail.contains("outside every write set"), "{}", v.detail);
+            assert!(v.contains("outside every write set"), "{v}");
         }
 
         #[test]
@@ -552,7 +482,12 @@ mod tests {
                 early_release: false,
             };
             let initial = WordImage::new();
-            let oracle = CrossThreadOracle::new(&initial, &plan);
+            let oracle = WorkloadOracle::new(&GeneratedWorkload {
+                name: "hand-built".to_string(),
+                programs: Vec::new(),
+                initial_image: initial.clone(),
+                sharing: Some(plan),
+            });
 
             let image = |words: &[(Addr, u64)]| {
                 let mut img = initial.clone();
@@ -567,11 +502,11 @@ mod tests {
             assert!(oracle.check(&image(&[(x, 1), (y, 1), (z, 1)])).is_ok());
             // z without x: not a ticket prefix of structure 0.
             let v = oracle.check(&image(&[(z, 1)])).unwrap_err();
-            assert!(v.detail.contains("matches no commit prefix"), "{}", v.detail);
+            assert!(v.contains("matches no commit prefix"), "{v}");
             // y without x: prefix-valid per structure, thread-order
             // impossible.
             let v = oracle.check(&image(&[(y, 1)])).unwrap_err();
-            assert!(v.detail.contains("program order"), "{}", v.detail);
+            assert!(v.contains("program order"), "{v}");
         }
     }
 }

@@ -14,10 +14,12 @@
 //! regenerate the workload, run to the event, crash with the fault,
 //! recover, judge.
 
-use crate::explore::{explore, ExploreSpec, ViolationPoint};
+use crate::explore::{crash_and_judge, explore, ExploreSpec, ViolationPoint};
 use crate::fault::FaultSpec;
+use crate::oracle::WorkloadOracle;
 use proteus_core::scheme::registry;
 use proteus_harness::{json, Json};
+use proteus_sim::System;
 use proteus_types::SimError;
 use proteus_workgen::codec::{params_from_json, params_to_json, sel_from_json, sel_to_json};
 use proteus_workloads::WorkloadParams;
@@ -55,36 +57,21 @@ impl CrashRepro {
     /// Returns simulator configuration errors; consistency results are
     /// reported in the [`ReplayOutcome`], never as errors.
     pub fn replay(&self) -> Result<ReplayOutcome, SimError> {
-        use proteus_sim::System;
-        use proteus_types::config::SystemConfig;
-
         let workload = self.spec.bench.generate(&self.spec.params);
-        let oracle = crate::oracle::WorkloadOracle::new(&workload);
-        let cfg = SystemConfig::skylake_like()
-            .with_num_cores(self.spec.params.threads.max(1))
-            .with_disable_persist_ordering(self.spec.broken_ordering);
-        let mut m = System::new(&cfg, self.spec.scheme, &workload)?;
-        if !m.run_until_persist_event(self.event) {
-            return Ok(ReplayOutcome {
-                violated: true,
-                detail: format!("replay produced fewer than {} persist events", self.event),
-            });
-        }
-        match m.crash_and_recover_with(&self.spec.fault.to_crash_faults()) {
-            Ok((recovered, _report)) => match oracle.check(&recovered) {
-                Err(detail) => Ok(ReplayOutcome { violated: true, detail }),
-                Ok(()) => Ok(ReplayOutcome {
-                    violated: false,
-                    detail: format!("consistent at event {}", self.event),
-                }),
+        let oracle = WorkloadOracle::new(&workload);
+        let mut m = System::new(&self.spec.config(), self.spec.scheme, &workload)?;
+        let faults = self.spec.fault.to_crash_faults();
+        Ok(match crash_and_judge(&mut m, self.event, &faults, &oracle) {
+            Ok(()) => ReplayOutcome {
+                violated: false,
+                detail: format!("consistent at event {}", self.event),
             },
-            Err(e) => Ok(ReplayOutcome { violated: true, detail: e.to_string() }),
-        }
+            Err(detail) => ReplayOutcome { violated: true, detail },
+        })
     }
 
     /// Serialises to the JSON artifact: a version header, the flattened
-    /// exploration spec ([`explore_spec_to_json`]), and the violation
-    /// coordinates.
+    /// exploration spec, and the violation coordinates.
     pub fn to_json(&self) -> Json {
         let Json::Obj(spec_pairs) = explore_spec_to_json(&self.spec) else {
             unreachable!("explore_spec_to_json always returns an object");
@@ -227,7 +214,7 @@ impl ShrinkField {
 /// Encodes an exploration spec as a flat JSON object — the body of
 /// [`CrashRepro`] artifacts. The workload selector and params use
 /// `proteus_workgen::codec`, the scheme its stable report label.
-pub fn explore_spec_to_json(spec: &ExploreSpec) -> Json {
+fn explore_spec_to_json(spec: &ExploreSpec) -> Json {
     Json::obj([
         ("bench", sel_to_json(&spec.bench)),
         ("params", params_to_json(&spec.params)),
@@ -241,7 +228,7 @@ pub fn explore_spec_to_json(spec: &ExploreSpec) -> Json {
 /// Decodes an exploration spec; `None` on malformed input. Accepts any
 /// object carrying the [`explore_spec_to_json`] fields, so it also
 /// reads them out of the flattened [`CrashRepro`] artifact.
-pub fn explore_spec_from_json(v: &Json) -> Option<ExploreSpec> {
+fn explore_spec_from_json(v: &Json) -> Option<ExploreSpec> {
     Some(ExploreSpec {
         bench: sel_from_json(v.get("bench")?)?,
         params: params_from_json(v.get("params")?)?,
@@ -253,7 +240,7 @@ pub fn explore_spec_from_json(v: &Json) -> Option<ExploreSpec> {
 }
 
 /// Encodes a fault model selector.
-pub fn fault_to_json(fault: FaultSpec) -> Json {
+fn fault_to_json(fault: FaultSpec) -> Json {
     match fault {
         FaultSpec::Clean => Json::obj([("kind", Json::str("clean"))]),
         FaultSpec::TornLine { mask } => {
@@ -269,7 +256,7 @@ pub fn fault_to_json(fault: FaultSpec) -> Json {
 }
 
 /// Decodes a fault model selector; `None` on unknown kinds.
-pub fn fault_from_json(v: &Json) -> Option<FaultSpec> {
+fn fault_from_json(v: &Json) -> Option<FaultSpec> {
     match v.get("kind")?.as_str()? {
         "clean" => Some(FaultSpec::Clean),
         "torn" => Some(FaultSpec::TornLine { mask: u8::try_from(v.get("mask")?.as_u64()?).ok()? }),

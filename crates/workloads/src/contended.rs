@@ -31,13 +31,13 @@
 //! The emitted program shape makes lock handoff durable for every
 //! failure-safe scheme for free: the release store sits *after*
 //! `tx_end`, so it retires after the scheme's commit-point persist
-//! protocol (`LockHandoffPolicy::DurableCommit` in the scheme
-//! registry). The [`ContendedSpec::early_release`] knob deliberately
-//! breaks this — the release moves *before* `tx_begin` — handing the
-//! lock to the successor while the group is still volatile. A crash in
-//! that window recovers the successor's group without its predecessor,
-//! which is exactly the cross-thread prefix violation the crash
-//! oracle's self-test must catch.
+//! protocol, which is why the scheme registry's contention roster is
+//! exactly the failure-safe schemes. The [`ContendedSpec::early_release`]
+//! knob deliberately breaks this — the release moves *before*
+//! `tx_begin` — handing the lock to the successor while the group is
+//! still volatile. A crash in that window recovers the successor's group
+//! without its predecessor, which is exactly the cross-thread prefix
+//! violation the crash oracle's self-test must catch.
 
 use crate::btree::BTree;
 use crate::hashmap::HashMapStruct;

@@ -188,7 +188,8 @@ pub struct GeneratedWorkload {
     pub initial_image: WordImage,
     /// The global lock schedule, for contended workloads only
     /// (`None` for every single-owner workload — the discriminant the
-    /// crash harness uses to pick its oracle).
+    /// crash oracle reads to take its commit groups from the plan or
+    /// from each thread's transactions).
     pub sharing: Option<crate::contended::SharingPlan>,
 }
 

@@ -15,7 +15,7 @@
 
 use proteus_core::recovery::{recover, recover_with_budget};
 use proteus_crash::{
-    choose_points, explore, shrink, sweep, ConsistencyOracle, CrashRepro, ExploreSpec, FaultSpec,
+    choose_points, explore, shrink, sweep, CrashRepro, ExploreSpec, FaultSpec, WorkloadOracle,
 };
 use proteus_harness::SweepOptions;
 use proteus_sim::System;
@@ -152,10 +152,9 @@ fn fixed_proteus_passes_where_broken_proteus_fails() {
 fn every_failure_safe_scheme_survives_contended_exploration() {
     // The cross-thread pillar: inter-core sharing through ticket locks
     // must not open any crash window the oracle can see. Each contended
-    // structure is explored under every failure-safe scheme; the
-    // judgement is the cross-thread oracle (commit-prefix matching in
-    // lock-handoff order), dispatched automatically off the workload's
-    // sharing plan.
+    // structure is explored under every failure-safe scheme; the oracle
+    // takes its commit groups from the workload's sharing plan and
+    // matches each structure against prefixes in lock-handoff order.
     let params = WorkloadParams { threads: 2, init_ops: 48, sim_ops: 10, seed: 5 };
     for kind in ContendedKind::ALL {
         for scheme in FAILURE_SAFE {
@@ -182,9 +181,9 @@ fn early_lock_release_is_caught_by_the_cross_thread_oracle() {
     // release store *before* the transaction, so a successor thread can
     // commit writes whose predecessor never became durable. Crashing in
     // that window leaves a structure state matching no commit prefix —
-    // only the cross-thread oracle can see this (each thread's own
-    // snapshot sequence is locally consistent). Exploration MUST catch
-    // it, and the violation must name the prefix check.
+    // only commit groups in lock-handoff order can see this (each
+    // thread's own transactions are locally consistent). Exploration
+    // MUST catch it, and the violation must name the prefix check.
     let params = WorkloadParams { threads: 3, init_ops: 64, sim_ops: 16, seed: 9 };
     let mut caught = 0usize;
     for kind in ContendedKind::ALL {
@@ -216,7 +215,7 @@ fn double_crash_during_recovery_is_idempotent() {
     for scheme in [LoggingSchemeKind::SwPmem, LoggingSchemeKind::Proteus] {
         let params = small_params(1);
         let workload = generate(Benchmark::RbTree, &params);
-        let oracle = ConsistencyOracle::new(&workload);
+        let oracle = WorkloadOracle::new(&workload);
         let cfg = SystemConfig::skylake_like().with_num_cores(1);
         let total = {
             let mut m = System::new(&cfg, scheme, &workload).unwrap();

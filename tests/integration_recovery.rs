@@ -1,11 +1,20 @@
 //! Cross-crate crash-recovery integration: crash the full system at many
 //! points during real workloads and verify transaction atomicity after
 //! recovery, for every failure-safe scheme.
+//!
+//! Recovered images are judged by [`WorkloadOracle`]. Beside it this file
+//! keeps a brute-force reference, the per-thread check the oracle
+//! generalises: clone the image at every `TxEnd` and require each
+//! thread's arena to equal one of the clones. At every crash point the
+//! two must agree on the recovered image and on three one-word mutants
+//! of it.
 
 use proteus_core::pmem::WordImage;
 use proteus_core::program::Op;
+use proteus_crash::WorkloadOracle;
 use proteus_sim::System;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
+use proteus_types::Addr;
 use proteus_workloads::{generate, thread_arena, Benchmark, GeneratedWorkload, WorkloadParams};
 
 /// Functional snapshots of a thread's state after 0, 1, 2, ... committed
@@ -44,10 +53,67 @@ fn is_prefix_consistent(
     })
 }
 
+/// A word below every thread arena, which both checks must ignore.
+const OUTSIDE: Addr = Addr::new(8);
+
+/// The oracle under test beside the reference it must agree with.
+struct Judge<'w> {
+    workload: &'w GeneratedWorkload,
+    snaps: Vec<Vec<WordImage>>,
+    oracle: WorkloadOracle,
+    /// Mutated one at a time: a word some transaction writes, an arena
+    /// word no transaction writes, and [`OUTSIDE`].
+    mutants: [Addr; 3],
+}
+
+impl<'w> Judge<'w> {
+    fn new(workload: &'w GeneratedWorkload) -> Self {
+        let (lo, hi) = thread_arena(workload.programs[0].thread);
+        let writes: Vec<Addr> = workload
+            .programs
+            .iter()
+            .flat_map(|p| &p.ops)
+            .filter_map(|op| match op {
+                Op::Write(a, _) => Some(*a),
+                _ => None,
+            })
+            .collect();
+        let written = *writes.iter().find(|a| (lo..hi).contains(*a)).expect("thread 0 writes");
+        let unwritten = Addr::new(hi.raw() - 8);
+        assert!(!writes.contains(&unwritten), "the arena's last word is beyond every node");
+        assert!(lo > OUTSIDE);
+        Judge {
+            workload,
+            snaps: snapshots(workload),
+            oracle: WorkloadOracle::new(workload),
+            mutants: [written, unwritten, OUTSIDE],
+        }
+    }
+
+    /// The oracle's verdict on `image`, once the reference has agreed
+    /// with it on the image and on each one-word mutant.
+    fn check(&self, image: &WordImage) -> Result<(), String> {
+        let verdict = self.oracle.check(image);
+        let reference = is_prefix_consistent(image, self.workload, &self.snaps);
+        assert_eq!(verdict.is_ok(), reference, "oracle and reference disagree: {verdict:?}");
+        for addr in self.mutants {
+            let mut mutant = image.clone();
+            mutant.write_word(addr, mutant.read_word(addr) ^ 0x5A5A_5A5A);
+            let judged = self.oracle.check(&mutant);
+            let reference = is_prefix_consistent(&mutant, self.workload, &self.snaps);
+            assert_eq!(judged.is_ok(), reference, "disagree on the mutant at {addr}: {judged:?}");
+            if addr == OUTSIDE {
+                assert_eq!(judged, verdict, "a word outside every arena was judged");
+            }
+        }
+        verdict
+    }
+}
+
 fn crash_grid(bench: Benchmark, scheme: LoggingSchemeKind, probes: u64) {
     let params = WorkloadParams { threads: 2, init_ops: 100, sim_ops: 15, seed: 31 };
     let workload = generate(bench, &params);
-    let snaps = snapshots(&workload);
+    let judge = Judge::new(&workload);
     let config = SystemConfig::skylake_like().with_num_cores(2);
     let total = {
         let mut m = System::new(&config, scheme, &workload).unwrap();
@@ -58,10 +124,9 @@ fn crash_grid(bench: Benchmark, scheme: LoggingSchemeKind, probes: u64) {
         let mut m = System::new(&config, scheme, &workload).unwrap();
         m.run_until(crash_at);
         let (recovered, _report) = m.crash_and_recover().unwrap();
-        assert!(
-            is_prefix_consistent(&recovered, &workload, &snaps),
-            "{bench:?}/{scheme:?}: crash at {crash_at}/{total} not atomic"
-        );
+        if let Err(v) = judge.check(&recovered) {
+            panic!("{bench:?}/{scheme:?}: crash at {crash_at}/{total} not atomic: {v}");
+        }
     }
 }
 
@@ -100,7 +165,7 @@ fn sw_pcommit_recovery_is_atomic_without_adr() {
     // recover because every persist point drains to NVMM.
     let params = WorkloadParams { threads: 1, init_ops: 60, sim_ops: 8, seed: 5 };
     let workload = generate(Benchmark::HashMap, &params);
-    let snaps = snapshots(&workload);
+    let judge = Judge::new(&workload);
     let mut config = SystemConfig::skylake_like().with_num_cores(1);
     config.mem.adr = false;
     let scheme = LoggingSchemeKind::SwPmemPcommit;
@@ -113,10 +178,9 @@ fn sw_pcommit_recovery_is_atomic_without_adr() {
         let mut m = System::new(&config, scheme, &workload).unwrap();
         m.run_until(crash_at);
         let (recovered, _) = m.crash_and_recover().unwrap();
-        assert!(
-            is_prefix_consistent(&recovered, &workload, &snaps),
-            "pcommit without ADR: crash at {crash_at}/{total} not atomic"
-        );
+        if let Err(v) = judge.check(&recovered) {
+            panic!("pcommit without ADR: crash at {crash_at}/{total} not atomic: {v}");
+        }
     }
 }
 

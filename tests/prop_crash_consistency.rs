@@ -5,10 +5,12 @@
 //! The systematic explorer (`integration_crash.rs`) walks persist-event
 //! indices; these properties attack from the other side with randomised
 //! cycle-fraction crash points and randomised workload seeds, both
-//! judged by the shared [`ConsistencyOracle`].
+//! judged by the one [`WorkloadOracle`], under which each thread of
+//! these share-nothing workloads is one structure whose commit groups
+//! are its transactions.
 
 use proteus_core::scheme::registry;
-use proteus_crash::{ConsistencyOracle, ExploreSpec, FaultSpec};
+use proteus_crash::{ExploreSpec, FaultSpec, WorkloadOracle};
 use proteus_sim::System;
 use proteus_types::config::{LoggingSchemeKind, SystemConfig};
 use proteus_types::prop::{check, Gen};
@@ -51,7 +53,7 @@ fn recovery_always_lands_on_a_transaction_boundary() {
     check(name, 24, case, |(bench, scheme, fault, seed, crash_fraction)| {
         let params = WorkloadParams { threads: 2, init_ops: 60, sim_ops: 8, seed };
         let workload = generate(bench, &params);
-        let oracle = ConsistencyOracle::new(&workload);
+        let oracle = WorkloadOracle::new(&workload);
         let config = SystemConfig::skylake_like().with_num_cores(2);
         let total = {
             let mut m = System::new(&config, scheme, &workload).unwrap();
@@ -76,7 +78,7 @@ fn recovery_is_idempotent() {
     check("recovery_is_idempotent", 12, case, |(bench, scheme, crash_fraction)| {
         let params = WorkloadParams { threads: 1, init_ops: 40, sim_ops: 6, seed: 11 };
         let workload = generate(bench, &params);
-        let oracle = ConsistencyOracle::new(&workload);
+        let oracle = WorkloadOracle::new(&workload);
         let config = SystemConfig::skylake_like().with_num_cores(1);
         let total = {
             let mut m = System::new(&config, scheme, &workload).unwrap();

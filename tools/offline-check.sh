@@ -59,13 +59,18 @@ do_test() {
         crashrepro --file "${OUT}/smoke_crash_repro.json"
     # Smoke the contended axis: the three shared-structure workloads
     # (MPMC queue, contended hash maps, lock-coupled B-trees) under
-    # every failure-safe scheme, judged by the cross-thread
-    # commit-prefix oracle, plus the early_release lock-handoff
-    # self-test (caught, shrunk, replayed).
+    # every failure-safe scheme, judged per structure against commit
+    # prefixes in lock-handoff order, plus the early_release
+    # lock-handoff self-test (caught, shrunk, replayed).
     run cargo run -q --release -p proteus-bench --bin reproduce -- \
         contention --scale 0.02 --file "${OUT}/smoke_contention_repro.json"
     run cargo run -q --release -p proteus-bench --bin reproduce -- \
         crashrepro --file "${OUT}/smoke_contention_repro.json"
+    # The crash_recovery example asserts what it prints: every
+    # failure-safe scheme stays consistent under clean and torn-line
+    # crashes, and the broken-ordering core is caught, shrunk and
+    # replayed.
+    run cargo run -q --release -p proteus-crash --example crash_recovery
     # Smoke the op-trace pipeline end to end: record a generated preset
     # to a trace file, then replay it — `replay` exits non-zero unless
     # the replayed workload and every scheme's RunSummary are
