@@ -24,19 +24,21 @@
 #       regenerating from the trace header), a resume round trip
 #       (`reproduce fig8 --scale 0.002 --threads 2 --resume LEDGER`
 #       twice: the second run must execute no job and print
-#       byte-identical stdout), a `reproduce trace --file` run
-#       (self-validating: trace must reconcile with the RunSummary and
-#       the Chrome JSON must parse with all tracks populated), a golden
+#       byte-identical stdout), two `reproduce trace --file` runs (QE
+#       under ATOM and under Proteus; self-validating: the trace must
+#       reconcile with the RunSummary and the Chrome JSON must parse
+#       with all tracks populated), a golden
 #       round trip (`reproduce golden --file`, then `cmp` against
 #       crates/bench/tests/golden/fig6_seed_schemes.jsonl), and a
 #       `reproduce bench` run timing the cycle engine with
 #       fast-forwarding on and off (fails on any output divergence)
-#   the engine determinism suite and the engine's unit tests (among
-#       them the skip rule: a jump only while every core sleeps, and no
-#       core credited by it) twice: once normally and once with
-#       --features paranoid, which single-steps every would-be jump and
-#       asserts the machine state fingerprint never moves, and ticks
-#       every sleeping core anyway, asserting it holds still
+#   the engine determinism suite, the tracing suite and the engine's
+#       unit tests (among them the skip rule: a jump only while every
+#       core sleeps, and no core credited by it) twice: once normally
+#       and once with --features paranoid, which single-steps every
+#       would-be jump and asserts the machine state fingerprint never
+#       moves, and ticks every sleeping core anyway, asserting it holds
+#       still
 #   the crash suite (tests/integration_crash.rs) again under
 #       proteus-sim's paranoid feature: crash exploration stops mid-run
 #       at persist events, where sleeping cores must be settled

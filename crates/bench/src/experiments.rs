@@ -633,7 +633,6 @@ pub fn ablation_llt(ctx: &ExperimentCtx) -> Result<String, SimError> {
 /// surfaces as [`SimError::ConsistencyViolation`].
 pub fn trace(ctx: &ExperimentCtx) -> Result<String, SimError> {
     use proteus_sim::runner::{run_workload_traced, ExperimentSpec};
-    use proteus_types::TraceConfig;
 
     let d = workload_or(ctx, "qe");
     let schemes = match ctx.schemes.as_slice() {
@@ -652,7 +651,7 @@ pub fn trace(ctx: &ExperimentCtx) -> Result<String, SimError> {
             bench: d.sel(),
             params: params.clone(),
         };
-        let (result, report) = run_workload_traced(&spec, &workload, &TraceConfig::enabled())?;
+        let (result, report) = run_workload_traced(&spec, &workload, true)?;
         let report = report.expect("tracing was enabled");
         report.check_against(&result.summary).map_err(SimError::ConsistencyViolation)?;
         out.push_str(&format!(

@@ -386,15 +386,16 @@ impl CacheSystem {
         self.l3.peek_data(line)
     }
 
-    /// Feeds `tracer` a periodic cumulative hit/miss sample per level.
-    /// The (relatively expensive) cross-core aggregation only runs on
-    /// cycles where a sample is actually due.
+    /// Feeds `tracer` the cumulative hit/miss counts per level at every
+    /// sampling grid point through `now` it has not seen, which the
+    /// counts held since its last sample. The (relatively expensive)
+    /// cross-core aggregation only runs when a sample is actually due.
     pub fn trace_sample(&self, tracer: &mut Tracer, now: Cycle) {
         if !tracer.sample_due(now) {
             return;
         }
         let (l1, l2, l3) = self.stats();
-        tracer.maybe_sample_cache(
+        tracer.sample_cache(
             now,
             &[
                 (CacheLevel::L1d, l1.hits, l1.misses),

@@ -57,5 +57,5 @@ pub use layout::AddressLayout;
 pub use logarea::LogArea;
 pub use pmem::WordImage;
 pub use program::{Op, Program};
-pub use recovery::{recover, CrashImage, RecoveryReport};
+pub use recovery::{recover, RecoveryReport};
 pub use scheme::expand_program;

@@ -1,8 +1,8 @@
 //! Crash recovery for both logging protocols.
 //!
-//! A crash leaves a [`CrashImage`]: the durable contents of the machine —
-//! the NVMM plus, under ADR, whatever the battery drained out of the WPQ
-//! and LPQ (the simulator builds the image; this module consumes it).
+//! A crash leaves a durable image ([`WordImage`]): the contents of the
+//! machine's NVMM plus, under ADR, whatever the battery drained out of the
+//! WPQ and LPQ (the simulator builds the image; this module consumes it).
 //!
 //! Two recovery protocols exist:
 //!
@@ -30,20 +30,6 @@ use crate::pmem::WordImage;
 use proteus_types::config::LoggingSchemeKind;
 use proteus_types::{Addr, LineAddr, SimError, ThreadId, TxId};
 use std::collections::HashMap;
-
-/// The durable state captured at a crash.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CrashImage {
-    /// Durable memory contents: NVMM plus ADR-drained queues.
-    pub nvmm: WordImage,
-}
-
-impl CrashImage {
-    /// Wraps an image.
-    pub fn new(nvmm: WordImage) -> Self {
-        CrashImage { nvmm }
-    }
-}
 
 /// What recovery did, per thread.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -160,13 +160,15 @@ struct TxPath {
 }
 
 /// What one cycle in which a stalled core is not ticked records: the
-/// dispatch stall cause (`None` once no uop is left to dispatch) and
-/// whether a held `log-load`'s retry advances the LLT's LRU clock. See
+/// dispatch stall cause (`None` once no uop is left to dispatch),
+/// whether a held `log-load`'s retry advances the LLT's LRU clock, and,
+/// for the trace only, whether a blocked `tx-end` heads the ROB. See
 /// [`Core::skip_credit`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SkipCredit {
     stall: Option<StallCause>,
     llt_retry: bool,
+    commit_wait: bool,
 }
 
 impl SkipCredit {
@@ -462,17 +464,7 @@ impl Core {
             return;
         }
         if self.tracer.is_enabled() {
-            self.tracer.maybe_sample(
-                now,
-                &[
-                    (QueueId::Rob, self.rob.len() as u32),
-                    (QueueId::LoadQ, self.loads_in_rob as u32),
-                    (QueueId::StoreQ, self.storeq.len() as u32),
-                    (QueueId::LogQ, self.logq.len() as u32),
-                    (QueueId::LogRegs, self.lrs.in_use() as u32),
-                    (QueueId::Llt, self.llt.len() as u32),
-                ],
-            );
+            self.tracer.sample(now, &self.queue_levels());
         }
         self.process_completions(now);
         self.issue_parked_load(now, caches);
@@ -758,23 +750,36 @@ impl Core {
             && self.persist_drained()
     }
 
-    /// Attributes one blocked `tx-end` cycle to the first undrained
+    /// The occupancy of each traced core queue. Trace-only.
+    fn queue_levels(&self) -> [(QueueId, u32); 6] {
+        [
+            (QueueId::Rob, self.rob.len() as u32),
+            (QueueId::LoadQ, self.loads_in_rob as u32),
+            (QueueId::StoreQ, self.storeq.len() as u32),
+            (QueueId::LogQ, self.logq.len() as u32),
+            (QueueId::LogRegs, self.lrs.in_use() as u32),
+            (QueueId::Llt, self.llt.len() as u32),
+        ]
+    }
+
+    /// Attributes `n` blocked `tx-end` cycles to the first undrained
     /// persist category, mirroring [`Core::persist_drained`]'s clauses in
     /// the order the pipeline drains them. Trace-only.
-    fn trace_commit_wait(&mut self) {
+    fn trace_commit_wait(&mut self, n: u64) {
         let Some(path) = self.tx_path.as_mut() else { return };
         let w = &mut path.wait;
-        if self.storeq.iter().any(|s| s.retired) {
-            w.store_release += 1;
+        let category = if self.storeq.iter().any(|s| s.retired) {
+            &mut w.store_release
         } else if !self.pending_clwbs.is_empty() {
-            w.clwb += 1;
+            &mut w.clwb
         } else if !self.logq.is_empty() {
-            w.logq += 1;
+            &mut w.logq
         } else if self.atom_acks_outstanding > 0 {
-            w.atom += 1;
+            &mut w.atom
         } else {
-            w.mc_commit += 1;
-        }
+            &mut w.mc_commit
+        };
+        *category += n;
     }
 
     /// Finalises the transaction's critical-path record at the durable
@@ -906,7 +911,7 @@ impl Core {
         let head = self.rob.front_mut().expect("the gate saw a head");
         match (head.uop, &mut head.state) {
             (Uop::Store { .. }, s @ UopState::None) => *s = UopState::Atom(AtomProgress::NeedLine),
-            (Uop::TxEnd { .. }, _) => self.trace_commit_wait(),
+            (Uop::TxEnd { .. }, _) => self.trace_commit_wait(1),
             _ => {}
         }
     }
@@ -1071,7 +1076,9 @@ impl Core {
                 self.stalled_dispatch(uop, cause, now, caches);
                 if dispatched == 0 {
                     self.stats.record_stall(cause);
-                    self.tracer.emit(now, TraceEventKind::Stall(cause));
+                    if self.tracer.is_enabled() {
+                        self.tracer.stall(now, cause, 1);
+                    }
                 }
                 return;
             }
@@ -1086,11 +1093,10 @@ impl Core {
     /// What a dispatch attempt that stalls with `cause` still does. A
     /// `log-load` held by the load queue or LR file has looked up the LLT
     /// before the reject is known: the lookup is undone, but it has moved
-    /// the LRU clock and may have evicted a way. A full LR file or LogQ
-    /// records a `Reject`. A `wait-value` whose lock word is cached
-    /// nowhere pulls the line in (memory is authoritative, see
-    /// `lock_word_visible`) and retries once it lands; MSHR dedup makes
-    /// the polling free.
+    /// the LRU clock and may have evicted a way. A `wait-value` whose
+    /// lock word is cached nowhere pulls the line in (memory is
+    /// authoritative, see `lock_word_visible`) and retries once it lands;
+    /// MSHR dedup makes the polling free.
     fn stalled_dispatch<C: CacheAccess>(
         &mut self,
         uop: Uop,
@@ -1103,12 +1109,6 @@ impl Core {
                 let grain = addr.log_grain();
                 self.llt.lookup_insert(grain);
                 self.llt.undo_insert(grain);
-                if cause == StallCause::LrFull {
-                    self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogRegs });
-                }
-            }
-            (Uop::LogFlush { .. }, StallCause::LogQFull) => {
-                self.tracer.emit(now, TraceEventKind::Reject { queue: QueueId::LogQ });
             }
             (Uop::WaitValue { addr, .. }, StallCause::LockWait)
                 if self.lock_word_visible(addr, self.next_seq, caches).is_none() =>
@@ -1499,35 +1499,50 @@ impl Core {
     }
 
     /// What each cycle this core is not ticked would record, read from
-    /// its current state: the dispatch stall cause, and whether a
-    /// `log-load` held by the load queue or LR file would retry a lookup
-    /// that only advances the LLT's LRU clock (see
-    /// [`Core::next_event_cycle`]). Valid for as long as the state stays
-    /// frozen and the cache lines it peeks at do not change; the caller
-    /// captures it before anything can change them.
+    /// its current state: the dispatch stall cause, whether a `log-load`
+    /// held by the load queue or LR file would retry a lookup that only
+    /// advances the LLT's LRU clock (see [`Core::next_event_cycle`]),
+    /// and, when tracing, whether retirement holds a `tx-end`. Valid for
+    /// as long as the state stays frozen and the cache lines it peeks at
+    /// do not change; the caller captures it before anything can change
+    /// them.
     pub fn skip_credit<C: CacheAccess>(&self, caches: &C) -> SkipCredit {
+        let commit_wait = self.tracer.is_enabled()
+            && self.rob.front().is_some_and(|h| {
+                matches!(h.uop, Uop::TxEnd { .. }) && h.completed && self.retire_blocked(h, caches)
+            });
         if self.done_at.is_some() || self.pc >= self.trace.uops.len() {
-            return SkipCredit::default();
+            return SkipCredit { commit_wait, ..SkipCredit::default() };
         }
         let cause = self.dispatch_stall_cause(caches).unwrap_or(StallCause::IssueQFull);
         SkipCredit {
             stall: Some(cause),
             llt_retry: matches!(cause, StallCause::LoadQFull | StallCause::LrFull)
                 && matches!(self.trace.uops[self.pc], Uop::LogLoad { .. }),
+            commit_wait,
         }
     }
 
     /// Replays `n` skipped cycles of `credit` (from [`Core::skip_credit`]):
-    /// their dispatch stalls and LLT retries, in bulk. During a skipped
-    /// window the core's state is frozen, so the dispatch path would have
-    /// recorded the same stall cause on every one of those cycles, and a
-    /// held `log-load` would have advanced only the LLT's LRU clock.
-    /// Replaying both keeps the core exactly where single-stepping leaves
-    /// it.
+    /// their dispatch stalls and LLT retries, in bulk, and into the trace
+    /// their stall run, samples and blocked `tx-end` cycles. During a
+    /// skipped window the core's state is frozen, so the dispatch path
+    /// would have recorded the same stall cause on every one of those
+    /// cycles, a held `log-load` would have advanced only the LLT's LRU
+    /// clock, and a held `tx-end` would have waited on the same persist.
+    /// Replaying them keeps the core, and its trace, exactly where
+    /// single-stepping leaves them. The window is the `n` cycles after the
+    /// core's last tick or credit.
     pub fn credit_skipped_cycles(&mut self, credit: SkipCredit, n: u64) {
         credit.add_stalls(&mut self.stats, n);
         if credit.llt_retry {
             self.llt.skip_failed_retries(n);
+        }
+        if self.tracer.is_enabled() {
+            self.tracer.skip(n, credit.stall, &self.queue_levels());
+            if credit.commit_wait {
+                self.trace_commit_wait(n);
+            }
         }
     }
 

@@ -335,7 +335,7 @@ pub struct MemoryController {
     /// arrival order.
     lanes: [VecDeque<Waiting>; 3],
     /// Per lane, its requests' full rejections in closed form (the read
-    /// queue's are traced but not counted).
+    /// queue's are not reported in [`MemStats`]).
     rejects: [RejectTally; 3],
     /// The arrival index of the next submission.
     next_seq: u64,
@@ -622,13 +622,14 @@ impl MemoryController {
     ///
     /// `now` need not increase by exactly one between calls: when the
     /// engine fast-forwards over a quiescent window, the first tick after
-    /// the jump first stamps the requests that fell due inside it and
-    /// replays its memory-clock edges against the window's (frozen)
-    /// state, then runs this cycle's phases as usual.
+    /// the jump first samples the window's (frozen) queues for the trace,
+    /// stamps the requests that fell due inside it and replays its
+    /// memory-clock edges against its state, then runs this cycle's
+    /// phases as usual.
     pub fn tick(&mut self, now: Cycle) {
         self.clock = now;
         if self.tracer.is_enabled() {
-            self.tracer.maybe_sample(
+            self.tracer.sample(
                 now,
                 &[
                     (QueueId::ReadQ, self.read_queue.len() as u32),
@@ -664,11 +665,12 @@ impl MemoryController {
     /// every due request is rejected (see
     /// [`MemoryController::next_event_cycle`]) and the window's state is
     /// frozen, so if that state rejects the request it was rejected once
-    /// per cycle from `max(at, first skipped cycle)` on: its stamp. Two
-    /// skips can chain with no tick between them (`run_until` may stop
-    /// exactly on a skip target and the next call skip again), which is
-    /// how a request falls due inside a window; the first tick of all
-    /// treats the cycles before it the same way.
+    /// per cycle from `max(at, first skipped cycle)` on: its stamp, where
+    /// the trace records its one `Reject`. Two skips can chain with no
+    /// tick between them (`run_until` may stop exactly on a skip target
+    /// and the next call skip again), which is how a request falls due
+    /// inside a window; the first tick of all treats the cycles before it
+    /// the same way.
     fn take_due(&mut self, now: Cycle) {
         let first_skipped = std::mem::replace(&mut self.ticked_through, now + 1);
         while self.not_due.front().is_some_and(|w| w.at <= now) {
@@ -678,6 +680,7 @@ impl MemoryController {
                 if let Some(lane) = self.intake_reject(&w.req) {
                     w.stamp = Some(from);
                     self.rejects[lane as usize].stamp(from);
+                    self.tracer.emit(from, TraceEventKind::Reject { queue: lane.queue() });
                 }
             }
             self.fresh.push(w);
@@ -810,12 +813,10 @@ impl MemoryController {
 
     /// Offers the due requests to their queues in arrival order: those
     /// that fell due this tick, and those waiting in the lanes. A lane is
-    /// visited only while it is open (see [`MemoryController::lane_open`]);
-    /// a traced run visits every lane, because it records one `Reject`
-    /// event per rejected retry. A rejected request waits in its lane,
-    /// stamped with the cycle its rejections count from.
+    /// visited only while it is open (see [`MemoryController::lane_open`]).
+    /// A rejected request waits in its lane, stamped with the cycle its
+    /// rejections count from; the trace records one `Reject` at the stamp.
     fn process_intake(&mut self, now: Cycle) {
-        let every_lane = self.tracer.is_enabled();
         let mut fresh = std::mem::take(&mut self.fresh);
         let mut fresh_iter = fresh.drain(..).peekable();
         // Per lane, the index of its next request to offer, and the
@@ -829,7 +830,7 @@ impl MemoryController {
             let mut next: Option<(u64, usize)> = None;
             for lane in Lane::ALL {
                 let i = lane as usize;
-                if !every_lane && !self.lane_open(lane) {
+                if !self.lane_open(lane) {
                     continue;
                 }
                 let queue = &self.lanes[i];
@@ -858,11 +859,11 @@ impl MemoryController {
                     self.accept(w.req, now);
                     continue;
                 };
-                self.tracer.emit(now, TraceEventKind::Reject { queue: lane.queue() });
                 let i = lane as usize;
                 if w.stamp.is_none() {
                     w.stamp = Some(now);
                     self.rejects[i].stamp(now);
+                    self.tracer.emit(now, TraceEventKind::Reject { queue: lane.queue() });
                 }
                 self.lines.add_waiting(&w.req);
                 let at = self.lanes[i].partition_point(|x| x.seq < w.seq);
@@ -874,8 +875,7 @@ impl MemoryController {
                 let (_, i) = next.expect("a lane request comes next");
                 let w = &self.lanes[i][cursor[i]];
                 pos = w.seq + 1;
-                if let Some(lane) = self.intake_reject(&w.req) {
-                    self.tracer.emit(now, TraceEventKind::Reject { queue: lane.queue() });
+                if self.intake_reject(&w.req).is_some() {
                     cursor[i] += 1;
                     continue;
                 }

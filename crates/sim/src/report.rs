@@ -1,7 +1,5 @@
 //! Tabular report formatting in the layout of the paper's figures.
 
-use proteus_types::stats::geometric_mean;
-
 /// A simple fixed-width table builder.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -56,27 +54,6 @@ impl Table {
     }
 }
 
-/// Renders a horizontal ASCII bar chart (the terminal stand-in for the
-/// paper's figures). Bars scale to `width` characters at the maximum
-/// value.
-///
-/// # Panics
-///
-/// Panics if `labels` and `values` differ in length, or a value is
-/// negative.
-pub fn bar_chart(labels: &[&str], values: &[f64], width: usize) -> String {
-    assert_eq!(labels.len(), values.len(), "labels/values length mismatch");
-    let max = values.iter().cloned().fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
-    let label_w = labels.iter().map(|l| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, value) in labels.iter().zip(values) {
-        assert!(*value >= 0.0, "bar values must be non-negative");
-        let n = ((value / max) * width as f64).round() as usize;
-        out.push_str(&format!("{label:<label_w$}  {} {v}\n", "█".repeat(n), v = f2(*value)));
-    }
-    out
-}
-
 /// Formats a float with two decimals (the paper's speedup precision).
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -85,11 +62,6 @@ pub fn f2(v: f64) -> String {
 /// Formats a percentage with one decimal (the paper's Table 4 precision).
 pub fn pct1(v: f64) -> String {
     format!("{v:.1}")
-}
-
-/// A labelled series plus its geometric mean, the paper's summary metric.
-pub fn with_geomean(values: &[f64]) -> (Vec<String>, String) {
-    (values.iter().map(|v| f2(*v)).collect(), f2(geometric_mean(values)))
 }
 
 #[cfg(test)]
@@ -113,28 +85,5 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new(["a", "b"]);
         t.row(["only one"]);
-    }
-
-    #[test]
-    fn bar_chart_scales_to_max() {
-        let chart = bar_chart(&["a", "bb"], &[1.0, 2.0], 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(&"█".repeat(5)));
-        assert!(lines[1].contains(&"█".repeat(10)));
-        assert!(lines[1].ends_with("2.00"));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn bar_chart_rejects_ragged_input() {
-        let _ = bar_chart(&["a"], &[1.0, 2.0], 10);
-    }
-
-    #[test]
-    fn geomean_helper() {
-        let (cells, gm) = with_geomean(&[1.0, 4.0]);
-        assert_eq!(cells, vec!["1.00", "4.00"]);
-        assert_eq!(gm, "2.00");
     }
 }

@@ -14,7 +14,7 @@ use crate::persist;
 use crate::system::System;
 use proteus_harness::{Harness, JobSpec, PayloadCodec, SweepOptions};
 use proteus_trace::TraceReport;
-use proteus_types::config::{LoggingSchemeKind, SystemConfig, TraceConfig};
+use proteus_types::config::{LoggingSchemeKind, SystemConfig};
 use proteus_types::stats::RunSummary;
 use proteus_types::{stable_hash_value, FieldHasher, SimError, StableHash, StableHasher};
 use proteus_workgen::WorkloadSel;
@@ -107,11 +107,12 @@ pub fn run_workload(
     spec: &ExperimentSpec,
     workload: &GeneratedWorkload,
 ) -> Result<ExperimentResult, SimError> {
-    let (result, _) = run_workload_traced(spec, workload, &TraceConfig::disabled())?;
+    let (result, _) = run_workload_traced(spec, workload, false)?;
     Ok(result)
 }
 
-/// [`run_workload`] with cycle-level tracing attached to the machine.
+/// [`run_workload`], with cycle-level tracing attached to the machine if
+/// `trace` is set.
 ///
 /// # Errors
 ///
@@ -119,7 +120,7 @@ pub fn run_workload(
 pub fn run_workload_traced(
     spec: &ExperimentSpec,
     workload: &GeneratedWorkload,
-    trace: &TraceConfig,
+    trace: bool,
 ) -> Result<(ExperimentResult, Option<TraceReport>), SimError> {
     let mut system = System::new_with_trace(&spec.config, spec.scheme, workload, trace)?;
     let summary = system.run()?;

@@ -9,7 +9,7 @@ use proteus_cpu::core::{decode_core, Core, SkipCredit, MC_LINK_DELAY};
 use proteus_mem::{CrashFaults, LogDrainMode, McEvent, McRequest, MemoryController, PersistEvent};
 use proteus_trace::{TraceReport, Tracer, TrackKind};
 use proteus_types::clock::{Cycle, NextEvent};
-use proteus_types::config::{EngineConfig, LoggingSchemeKind, SystemConfig, TraceConfig};
+use proteus_types::config::{EngineConfig, LoggingSchemeKind, SystemConfig};
 use proteus_types::stats::RunSummary;
 use proteus_types::{SimError, ThreadId};
 use proteus_workloads::GeneratedWorkload;
@@ -30,9 +30,7 @@ pub struct System {
     threads: Vec<ThreadId>,
     max_cycles: Cycle,
     cache_tracer: Tracer,
-    trace_sample_interval: Cycle,
-    /// Per-core sleep and the jumps it allows (see `DESIGN.md` §6). Off
-    /// while the machine records a cycle trace: tracers sample per cycle.
+    /// Per-core sleep and the jumps it allows (see `DESIGN.md` §6).
     fast_forward: bool,
     /// Cross-validate every jump by single-stepping it and asserting the
     /// state fingerprint never moves, and every sleeping core by ticking
@@ -105,27 +103,26 @@ impl System {
         scheme: LoggingSchemeKind,
         workload: &GeneratedWorkload,
     ) -> Result<Self, SimError> {
-        Self::new_with_trace(cfg, scheme, workload, &TraceConfig::disabled())
+        Self::new_with_trace(cfg, scheme, workload, false)
     }
 
-    /// Builds a machine like [`System::new`] but with cycle-level tracing
-    /// per `trace`. With `trace.enabled == false` this is exactly
-    /// [`System::new`]: no trace buffers are allocated and the run is
-    /// bit-identical to an untraced one.
+    /// Builds a machine like [`System::new`], with cycle-level tracing if
+    /// `trace` is set. Without it this is exactly [`System::new`]: no
+    /// trace buffers are allocated. Either way the machine runs the same
+    /// engine, and the run is bit-identical to an untraced one.
     ///
     /// # Errors
     ///
-    /// Returns an error if either configuration is invalid, the workload
+    /// Returns an error if the configuration is invalid, the workload
     /// needs more threads than there are cores or log areas, or trace
     /// expansion fails.
     pub fn new_with_trace(
         cfg: &SystemConfig,
         scheme: LoggingSchemeKind,
         workload: &GeneratedWorkload,
-        trace: &TraceConfig,
+        trace: bool,
     ) -> Result<Self, SimError> {
         cfg.validate().map_err(SimError::InvalidConfig)?;
-        trace.validate().map_err(SimError::InvalidConfig)?;
         // Each thread needs a core and a log area: a thread beyond the
         // layout's capacity would have no log area to address.
         let layout = AddressLayout::default();
@@ -150,7 +147,7 @@ impl System {
                 caches.preload(lock.line(), [0; 8]);
             }
         }
-        if trace.enabled {
+        if trace {
             caches.enable_coherence_events();
         }
         let mut cores = Vec::with_capacity(workload.programs.len());
@@ -181,8 +178,7 @@ impl System {
             threads,
             max_cycles: 20_000_000_000,
             cache_tracer: Tracer::new(TrackKind::Cache, trace),
-            trace_sample_interval: trace.sample_interval,
-            fast_forward: EngineConfig::default().fast_forward && !trace.enabled,
+            fast_forward: EngineConfig::default().fast_forward,
             validate_skips: cfg!(feature = "paranoid"),
             req_buf: Vec::new(),
             steps: 0,
@@ -214,11 +210,9 @@ impl System {
     }
 
     /// Enables or disables event-driven fast-forwarding, per-core sleep
-    /// included: with it off, every cycle ticks every unfinished core. A
-    /// no-op (stays off) while the machine records a cycle trace, which
-    /// samples per cycle.
+    /// included: with it off, every cycle ticks every unfinished core.
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on && !self.cache_tracer.is_enabled();
+        self.fast_forward = on;
     }
 
     /// Single-steps every would-be jump and asserts the machine
@@ -260,9 +254,9 @@ impl System {
     /// it cannot change state next cycle falls asleep after its tick and
     /// is not ticked again until its wake cycle, an event for it, or a
     /// cache change it could observe (DESIGN.md §6, "Sleep and jumps").
-    /// The stall cycles it sleeps through are credited when it wakes;
-    /// [`System::summary`] includes those still pending, so statistics
-    /// are exact after every call.
+    /// The stall cycles it sleeps through are credited, to its statistics
+    /// and its trace, when it wakes; [`System::summary`] includes those
+    /// still pending, so statistics are exact after every call.
     pub fn step(&mut self) {
         let now = self.now;
         for (core, sleep) in self.cores.iter_mut().zip(&mut self.sleep) {
@@ -397,14 +391,17 @@ impl System {
     }
 
     /// Jumps `now` to `target`. Every unfinished core sleeps through the
-    /// window and is credited when it wakes, so nothing is credited here.
-    /// In validating mode the window is single-stepped instead, asserting
-    /// the state fingerprint never moves — proving the engine's claim
-    /// that it was quiescent.
+    /// window and is credited when it wakes, and the controller samples
+    /// its frozen queues at its next tick, so only the cache counters,
+    /// which that tick's cycle may move, are sampled here. In validating
+    /// mode the window is single-stepped instead, asserting the state
+    /// fingerprint never moves — proving the engine's claim that it was
+    /// quiescent.
     fn skip_to(&mut self, target: Cycle) {
         if self.validate_skips {
             self.skip_to_checked(target);
         } else {
+            self.caches.trace_sample(&mut self.cache_tracer, target - 1);
             self.now = target;
         }
     }
@@ -570,7 +567,7 @@ impl System {
         if tracks.is_empty() {
             None
         } else {
-            Some(TraceReport { tracks, sample_interval: self.trace_sample_interval })
+            Some(TraceReport { tracks })
         }
     }
 

@@ -149,8 +149,14 @@ impl CacheLevel {
 /// What happened (the `TraceEvent` payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// Dispatch stalled this cycle for the given cause (Fig. 7 attribution).
-    Stall(StallCause),
+    /// Dispatch stalled for `cause` in each of the `cycles` cycles from
+    /// the event's stamp: one run of stalled cycles (Fig. 7 attribution).
+    Stall {
+        /// Why dispatch stalled.
+        cause: StallCause,
+        /// Length of the run.
+        cycles: u64,
+    },
     /// An entry entered `queue`; `occupancy` is the size after the insert.
     Enqueue {
         /// Queue that grew.
@@ -170,21 +176,23 @@ pub enum TraceEventKind {
         /// Queue that was full.
         queue: QueueId,
     },
-    /// Periodic occupancy sample of `queue`.
+    /// Periodic occupancy sample of `queue`, recorded when the level
+    /// differs from the previous sample's.
     OccupancySample {
         /// Sampled queue.
         queue: QueueId,
         /// Occupancy at the sample instant.
         occupancy: u32,
     },
-    /// Periodic cumulative hit/miss sample of a cache level (exporters
-    /// emit the per-interval delta).
+    /// Periodic hit/miss sample of a cache level: the counts of the
+    /// sampling interval that ends at the stamp, recorded when they
+    /// differ from the previous interval's.
     CacheSample {
         /// Sampled level.
         level: CacheLevel,
-        /// Cumulative hits at the sample instant.
+        /// Hits in the interval.
         hits: u64,
-        /// Cumulative misses at the sample instant.
+        /// Misses in the interval.
         misses: u64,
     },
     /// A durable-state transition at the memory controller.

@@ -6,7 +6,7 @@
 
 use crate::event::{CacheLevel, QueueId, TraceEventKind};
 use crate::report::TraceReport;
-use crate::tracer::{TrackDump, TrackKind};
+use crate::tracer::{TrackDump, TrackKind, SAMPLE_INTERVAL};
 use std::fmt::Write as _;
 
 /// Chrome trace pid for core tracks (tid = core index).
@@ -91,11 +91,11 @@ impl EventWriter {
         ));
     }
 
-    fn finish(mut self, sample_interval: u64) -> String {
+    fn finish(mut self) -> String {
         self.out.push_str("\n],\n");
         let _ = writeln!(
             self.out,
-            "\"displayTimeUnit\":\"ns\",\"otherData\":{{\"clock\":\"cycles\",\"sampleInterval\":{sample_interval}}}}}"
+            "\"displayTimeUnit\":\"ns\",\"otherData\":{{\"clock\":\"cycles\",\"sampleInterval\":{SAMPLE_INTERVAL}}}}}"
         );
         self.out
     }
@@ -114,12 +114,10 @@ fn dump_track(w: &mut EventWriter, track: &TrackDump) {
         TrackKind::Mc => (PID_MC, TID_MC_PERSIST),
         TrackKind::Cache => (PID_CACHE, 0),
     };
-    // Cumulative cache samples export as per-interval deltas.
-    let mut prev = [(0u64, 0u64); CacheLevel::ALL.len()];
     for ev in &track.events {
         match ev.kind {
-            TraceEventKind::Stall(cause) => {
-                w.instant(&format!("stall:{cause}"), ev.at, pid, tid);
+            TraceEventKind::Stall { cause, cycles } => {
+                w.span(&format!("stall:{cause}"), ev.at, cycles, pid, tid, "");
             }
             TraceEventKind::Enqueue { queue, occupancy }
             | TraceEventKind::Dequeue { queue, occupancy }
@@ -139,24 +137,15 @@ fn dump_track(w: &mut EventWriter, track: &TrackDump) {
                 w.instant(&format!("reject:{}", queue.label()), ev.at, qpid, qtid);
             }
             TraceEventKind::CacheSample { level, hits, misses } => {
-                let (ph, pm) = prev[level.slot()];
-                prev[level.slot()] = (hits, misses);
                 let lt = level.slot() as u32;
-                w.counter(
-                    &format!("{}:hits", level.label()),
-                    ev.at,
-                    PID_CACHE,
-                    lt,
-                    "delta",
-                    hits.saturating_sub(ph),
-                );
+                w.counter(&format!("{}:hits", level.label()), ev.at, PID_CACHE, lt, "delta", hits);
                 w.counter(
                     &format!("{}:misses", level.label()),
                     ev.at,
                     PID_CACHE,
                     lt,
                     "delta",
-                    misses.saturating_sub(pm),
+                    misses,
                 );
             }
             TraceEventKind::Persist(kind) => {
@@ -199,8 +188,9 @@ fn dump_track(w: &mut EventWriter, track: &TrackDump) {
 impl TraceReport {
     /// Serialises the whole report as Chrome trace-event JSON: one track
     /// per core (pid 1), per MC queue (pid 2), and per cache level
-    /// (pid 3), with instants for stalls/rejects/persists, counters for
-    /// occupancies and cache deltas, and `X` spans for transactions.
+    /// (pid 3), with instants for rejects/persists, counters for
+    /// occupancies and cache deltas, and `X` spans for stall runs and
+    /// transactions.
     /// Timestamps are CPU cycles.
     pub fn to_chrome_json(&self) -> String {
         let mut w = EventWriter::new();
@@ -226,7 +216,7 @@ impl TraceReport {
         for t in &self.tracks {
             dump_track(&mut w, t);
         }
-        w.finish(self.sample_interval)
+        w.finish()
     }
 }
 
@@ -245,7 +235,10 @@ mod tests {
                 TrackDump {
                     kind: TrackKind::Core(0),
                     events: vec![
-                        TraceEvent { at: 4, kind: TraceEventKind::Stall(StallCause::LogQFull) },
+                        TraceEvent {
+                            at: 4,
+                            kind: TraceEventKind::Stall { cause: StallCause::LogQFull, cycles: 2 },
+                        },
                         TraceEvent {
                             at: 5,
                             kind: TraceEventKind::Enqueue { queue: QueueId::LogQ, occupancy: 2 },
@@ -253,9 +246,9 @@ mod tests {
                         TraceEvent { at: 9, kind: TraceEventKind::TxDurable { tx: 1 } },
                     ],
                     dropped_oldest: 0,
-                    capacity: 64,
                     occupancy: vec![(QueueId::LogQ, occ)],
                     wait: Vec::new(),
+                    stall_cycles: [0; 9],
                     tx_records: vec![TxRecord {
                         tx: 1,
                         core: 0,
@@ -273,13 +266,12 @@ mod tests {
                         TraceEvent { at: 7, kind: TraceEventKind::Reject { queue: QueueId::Wpq } },
                     ],
                     dropped_oldest: 2,
-                    capacity: 64,
                     occupancy: Vec::new(),
                     wait: Vec::new(),
+                    stall_cycles: [0; 9],
                     tx_records: Vec::new(),
                 },
             ],
-            sample_interval: 64,
         }
     }
 
@@ -290,7 +282,7 @@ mod tests {
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"core0\""));
         assert!(json.contains("\"mc.lpq\""));
-        assert!(json.contains("stall:logq-full"));
+        assert!(json.contains("\"name\":\"stall:logq-full\",\"ph\":\"X\",\"ts\":4,\"dur\":2"));
         assert!(json.contains("occ:logq"));
         assert!(json.contains("persist:lpq-accept"));
         assert!(json.contains("reject:wpq"));

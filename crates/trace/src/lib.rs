@@ -8,13 +8,15 @@
 //! from:
 //!
 //! * a bounded ring of typed, cycle-stamped [`TraceEvent`]s per
-//!   component — dispatch stalls (with [`StallCause`]), queue
-//!   enqueue/dequeue/reject traffic, persist events, transaction
-//!   begin/commit/durable marks — with oldest-dropped overflow
-//!   accounting that is always reported, never silent;
-//! * periodic queue-occupancy samples aggregated into shared
-//!   [`Log2Histogram`]s (time-series distribution, not just the
-//!   `*_peak_occupancy` point values);
+//!   component — dispatch stall runs (with [`StallCause`]), queue
+//!   enqueue/dequeue traffic, one reject per request a full queue
+//!   turned away, persist events, transaction begin/commit/durable
+//!   marks — with oldest-dropped overflow accounting that is always
+//!   reported, never silent;
+//! * queue-occupancy samples every [`SAMPLE_INTERVAL`] cycles,
+//!   aggregated into shared [`Log2Histogram`]s (time-series
+//!   distribution, not just the `*_peak_occupancy` point values) and
+//!   kept in the ring only where the level changes;
 //! * a per-transaction persist critical path ([`TxRecord`]): cycles
 //!   from the last store's retirement to the durable commit, broken
 //!   down by which queue the laggard entry waited in.
@@ -24,13 +26,17 @@
 //! summary (one flat object per line, with a schema version and an
 //! `event` discriminator).
 //!
+//! Each fact is recorded once, so a traced run is the untraced run,
+//! observed: the engine's sleeping cores and jumps replay a skipped
+//! window into the trace exactly as they credit its statistics.
+//!
 //! ## Zero cost when disabled
 //!
 //! A disabled [`Tracer`] is `Option::None`: no allocation, and every
 //! emission site is one branch. The simulator constructs components
-//! with disabled tracers unless a `TraceConfig` with `enabled = true`
-//! is passed to `System::new_with_trace` — a guard test asserts a
-//! traced-off run's `RunSummary` is identical to the seed behaviour.
+//! with disabled tracers unless `System::new_with_trace` is asked for
+//! a trace — a guard test asserts a traced-off run's `RunSummary` is
+//! identical to the seed behaviour.
 //!
 //! [`StallCause`]: proteus_types::stats::StallCause
 //! [`Log2Histogram`]: proteus_types::stats::Log2Histogram
@@ -49,4 +55,4 @@ pub use event::{CacheLevel, PersistKind, QueueId, TraceEvent, TraceEventKind};
 pub use record::{CommitWait, TxRecord};
 pub use report::TraceReport;
 pub use ring::EventRing;
-pub use tracer::{Tracer, TrackDump, TrackKind};
+pub use tracer::{Tracer, TrackDump, TrackKind, RING_CAPACITY, SAMPLE_INTERVAL};

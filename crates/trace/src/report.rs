@@ -4,8 +4,7 @@
 
 use crate::record::{CommitWait, TxRecord};
 use crate::tracer::{TrackDump, TrackKind};
-use proteus_types::stats::RunSummary;
-use proteus_types::Cycle;
+use proteus_types::stats::{RunSummary, StallCause};
 use std::fmt::Write as _;
 
 /// Everything captured during one traced run.
@@ -13,8 +12,6 @@ use std::fmt::Write as _;
 pub struct TraceReport {
     /// One dump per traced component (cores, MC, cache sampler).
     pub tracks: Vec<TrackDump>,
-    /// Sampling period the run used (cycles).
-    pub sample_interval: Cycle,
 }
 
 impl TraceReport {
@@ -42,9 +39,10 @@ impl TraceReport {
     }
 
     /// Verifies the trace agrees (±0) with the authoritative `RunSummary`:
-    /// every core track must carry exactly `transactions` records, no
-    /// record may become durable after its core's last cycle, and no
-    /// event may be stamped past the run's total cycles.
+    /// every core track must carry exactly `transactions` records and
+    /// count each cause's stall cycles exactly, no record may become
+    /// durable after its core's last cycle, and no event may be stamped
+    /// past the run's total cycles.
     pub fn check_against(&self, summary: &RunSummary) -> Result<(), String> {
         for t in &self.tracks {
             let TrackKind::Core(i) = t.kind else { continue };
@@ -57,6 +55,15 @@ impl TraceReport {
                     "core{i}: {records} tx records but summary counted {} transactions",
                     core.transactions
                 ));
+            }
+            for cause in StallCause::ALL {
+                let traced = t.stall_cycles[cause.slot()];
+                if traced != core.stall(cause) {
+                    return Err(format!(
+                        "core{i}: {traced} {cause} stall cycles traced but summary counted {}",
+                        core.stall(cause)
+                    ));
+                }
             }
             for r in &t.tx_records {
                 if r.durable > core.cycles {
@@ -190,6 +197,7 @@ impl TraceReport {
 mod tests {
     use super::*;
     use proteus_types::stats::CoreStats;
+    use proteus_types::Cycle;
 
     fn rec(core: u32, tx: u64, begin: Cycle, durable: Cycle) -> TxRecord {
         TxRecord {
@@ -208,9 +216,9 @@ mod tests {
             kind: TrackKind::Core(i),
             events: Vec::new(),
             dropped_oldest: 0,
-            capacity: 16,
             occupancy: Vec::new(),
             wait: Vec::new(),
+            stall_cycles: [0; 9],
             tx_records: recs,
         }
     }
@@ -225,10 +233,8 @@ mod tests {
 
     #[test]
     fn check_against_accepts_consistent_trace() {
-        let report = TraceReport {
-            tracks: vec![core_track(0, vec![rec(0, 1, 10, 50), rec(0, 2, 60, 90)])],
-            sample_interval: 64,
-        };
+        let report =
+            TraceReport { tracks: vec![core_track(0, vec![rec(0, 1, 10, 50), rec(0, 2, 60, 90)])] };
         let mut c = CoreStats::new();
         c.cycles = 100;
         c.transactions = 2;
@@ -237,10 +243,7 @@ mod tests {
 
     #[test]
     fn check_against_rejects_count_mismatch_and_late_durable() {
-        let report = TraceReport {
-            tracks: vec![core_track(0, vec![rec(0, 1, 10, 50)])],
-            sample_interval: 64,
-        };
+        let report = TraceReport { tracks: vec![core_track(0, vec![rec(0, 1, 10, 50)])] };
         let mut c = CoreStats::new();
         c.cycles = 100;
         c.transactions = 2;
@@ -253,11 +256,33 @@ mod tests {
         assert!(err.contains("durable"), "{err}");
     }
 
+    /// Each cause's stall cycles, counted outside the ring, must match
+    /// the core's statistics exactly.
+    #[test]
+    fn check_against_rejects_stall_cycle_mismatch() {
+        let mut track = core_track(0, Vec::new());
+        track.stall_cycles[StallCause::LogQFull.slot()] = 7;
+        let report = TraceReport { tracks: vec![track] };
+        let mut c = CoreStats::new();
+        c.cycles = 100;
+        c.add_stall_cycles(StallCause::LogQFull, 7);
+        assert!(report.check_against(&summary_with(vec![c.clone()])).is_ok());
+
+        let mut more = c.clone();
+        more.add_stall_cycles(StallCause::LogQFull, 1);
+        let err = report.check_against(&summary_with(vec![more])).unwrap_err();
+        assert!(err.contains("7 logq-full stall cycles traced but summary counted 8"), "{err}");
+
+        // A cause the trace never saw counts too.
+        c.add_stall_cycles(StallCause::RobFull, 3);
+        let err = report.check_against(&summary_with(vec![c])).unwrap_err();
+        assert!(err.contains("0 rob-full stall cycles"), "{err}");
+    }
+
     #[test]
     fn critical_path_table_totals_cover_all_rows() {
         let report = TraceReport {
             tracks: vec![core_track(0, (0..5).map(|i| rec(0, i, i * 100, i * 100 + 20)).collect())],
-            sample_interval: 64,
         };
         let table = report.critical_path_table(2);
         assert!(table.contains("... (3 more transactions)"));

@@ -21,7 +21,7 @@ impl EventRing {
     ///
     /// # Panics
     ///
-    /// Panics on zero capacity (`TraceConfig::validate` rejects it first).
+    /// Panics on zero capacity.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "EventRing capacity must be nonzero");
         EventRing { events: VecDeque::with_capacity(capacity), capacity, dropped_oldest: 0 }
@@ -69,7 +69,7 @@ mod tests {
     use proteus_types::stats::StallCause;
 
     fn ev(at: u64) -> TraceEvent {
-        TraceEvent { at, kind: TraceEventKind::Stall(StallCause::RobFull) }
+        TraceEvent { at, kind: TraceEventKind::Stall { cause: StallCause::RobFull, cycles: 1 } }
     }
 
     #[test]

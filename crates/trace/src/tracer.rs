@@ -6,12 +6,26 @@
 //! bounded [`EventRing`], per-queue occupancy and wait histograms, and the
 //! component's transaction records. Ownership (no sharing, no locks) keeps
 //! the simulator `Send` and the hot path branch-predictable.
+//!
+//! The tracer records each fact once, so a component that sleeps through
+//! a window can replay it in bulk: a stall run is one event however many
+//! cycles it lasts, and a periodic sample enters the ring only when it
+//! differs from the one before (the histograms still see every grid
+//! point).
 
 use crate::event::{CacheLevel, QueueId, TraceEvent, TraceEventKind};
 use crate::record::TxRecord;
 use crate::ring::EventRing;
-use proteus_types::stats::Log2Histogram;
-use proteus_types::{Cycle, TraceConfig};
+use proteus_types::stats::{Log2Histogram, StallCause};
+use proteus_types::Cycle;
+
+/// Capacity of each component's event ring. When full, the oldest event
+/// is dropped and counted (never silently lost).
+pub const RING_CAPACITY: usize = 65_536;
+
+/// Queue-occupancy and cache-counter sampling period in cycles: samples
+/// fall on the multiples of it.
+pub const SAMPLE_INTERVAL: Cycle = 64;
 
 /// Which timeline a tracer's events belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,15 +49,70 @@ impl TrackKind {
     }
 }
 
+/// A cache level's `(hits, misses)`.
+type Counts = (u64, u64);
+
 #[derive(Debug)]
 struct TracerInner {
     kind: TrackKind,
     ring: EventRing,
-    sample_interval: Cycle,
+    /// The next sampling grid point.
     next_sample: Cycle,
+    /// The cycle after the last one [`Tracer::sample`] or
+    /// [`Tracer::skip`] recorded.
+    clock: Cycle,
+    /// The last sampled level per queue.
+    level: [Option<u32>; QueueId::COUNT],
+    /// Per cache level: the cumulative `(hits, misses)` at the last
+    /// sample, and the last sampled per-interval delta.
+    cache: [(Counts, Option<Counts>); CacheLevel::ALL.len()],
     occupancy: [Log2Histogram; QueueId::COUNT],
     wait: [Log2Histogram; QueueId::COUNT],
+    /// The open stall run: its first cycle, cause and length.
+    run: Option<(Cycle, StallCause, u64)>,
+    stall_cycles: [u64; StallCause::ALL.len()],
     tx_records: Vec<TxRecord>,
+}
+
+fn stall_event((at, cause, cycles): (Cycle, StallCause, u64)) -> TraceEvent {
+    TraceEvent { at, kind: TraceEventKind::Stall { cause, cycles } }
+}
+
+impl TracerInner {
+    /// The grid points through `now` not yet sampled: the first, and how
+    /// many. Advances the grid past them.
+    fn due(&mut self, now: Cycle) -> Option<(Cycle, u64)> {
+        let first = self.next_sample;
+        self.clock = self.clock.max(now + 1);
+        if now < first {
+            return None;
+        }
+        let points = (now - first) / SAMPLE_INTERVAL + 1;
+        self.next_sample = first + points * SAMPLE_INTERVAL;
+        Some((first, points))
+    }
+
+    /// Closes the open stall run into the ring, and every sampled counter
+    /// with its value at the last grid point, so a counter that never
+    /// changes still ends with an event.
+    fn close(&mut self) {
+        if let Some(run) = self.run.take() {
+            self.ring.push(stall_event(run));
+        }
+        let Some(at) = self.next_sample.checked_sub(SAMPLE_INTERVAL) else { return };
+        for queue in QueueId::ALL {
+            if let Some(occupancy) = self.level[queue.slot()] {
+                let kind = TraceEventKind::OccupancySample { queue, occupancy };
+                self.ring.push(TraceEvent { at, kind });
+            }
+        }
+        for level in CacheLevel::ALL {
+            if let (_, Some((hits, misses))) = self.cache[level.slot()] {
+                let kind = TraceEventKind::CacheSample { level, hits, misses };
+                self.ring.push(TraceEvent { at, kind });
+            }
+        }
+    }
 }
 
 /// Everything one tracer captured, detached from the component.
@@ -55,12 +124,13 @@ pub struct TrackDump {
     pub events: Vec<TraceEvent>,
     /// Events evicted from the ring to make room (0 = lossless).
     pub dropped_oldest: u64,
-    /// Ring capacity the track ran with.
-    pub capacity: usize,
     /// Occupancy histograms for queues that were sampled at least once.
     pub occupancy: Vec<(QueueId, Log2Histogram)>,
     /// Wait-cycle histograms for queues that recorded at least one wait.
     pub wait: Vec<(QueueId, Log2Histogram)>,
+    /// Stall cycles per cause (indexed by [`StallCause::slot`]), counted
+    /// outside the ring, so they are exact whatever it dropped.
+    pub stall_cycles: [u64; StallCause::ALL.len()],
     /// Persist critical-path records for transactions this track committed.
     pub tx_records: Vec<TxRecord>,
 }
@@ -84,19 +154,30 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// Creates a tracer for `kind`, or a disabled one if `cfg` says off.
-    pub fn new(kind: TrackKind, cfg: &TraceConfig) -> Self {
-        if !cfg.enabled {
-            return Tracer::disabled();
+    /// Creates a tracer for `kind` with a [`RING_CAPACITY`] ring, or a
+    /// disabled one if `enabled` is false.
+    pub fn new(kind: TrackKind, enabled: bool) -> Self {
+        if enabled {
+            Tracer::with_capacity(kind, RING_CAPACITY)
+        } else {
+            Tracer::disabled()
         }
+    }
+
+    /// An enabled tracer whose ring holds `capacity` events.
+    pub(crate) fn with_capacity(kind: TrackKind, capacity: usize) -> Self {
         Tracer {
             inner: Some(Box::new(TracerInner {
                 kind,
-                ring: EventRing::new(cfg.ring_capacity),
-                sample_interval: cfg.sample_interval.max(1),
+                ring: EventRing::new(capacity),
                 next_sample: 0,
+                clock: 0,
+                level: [None; QueueId::COUNT],
+                cache: [((0, 0), None); CacheLevel::ALL.len()],
                 occupancy: std::array::from_fn(|_| Log2Histogram::new()),
                 wait: std::array::from_fn(|_| Log2Histogram::new()),
+                run: None,
+                stall_cycles: [0; StallCause::ALL.len()],
                 tx_records: Vec::new(),
             })),
         }
@@ -119,46 +200,86 @@ impl Tracer {
         }
     }
 
-    /// Whether the periodic sampler wants a sample at `now`. Lets callers
-    /// skip computing sample values (e.g. aggregating cache stats) on the
+    /// Records that dispatch stalled for `cause` in the `cycles` cycles
+    /// from `at`. A stall that continues the open run (same cause, next
+    /// cycle) extends it; any other closes it into the ring and opens a
+    /// new one. Callers on a per-cycle path check [`Tracer::is_enabled`]
+    /// first.
+    pub fn stall(&mut self, at: Cycle, cause: StallCause, cycles: u64) {
+        let Some(t) = self.inner.as_deref_mut() else { return };
+        t.stall_cycles[cause.slot()] += cycles;
+        match &mut t.run {
+            Some((from, c, n)) if *c == cause && *from + *n == at => *n += cycles,
+            run => {
+                if let Some(closed) = run.replace((at, cause, cycles)) {
+                    t.ring.push(stall_event(closed));
+                }
+            }
+        }
+    }
+
+    /// Whether a periodic sample falls due by `now`. Lets callers skip
+    /// computing sample values (e.g. aggregating cache stats) on the
     /// overwhelming majority of cycles.
     pub fn sample_due(&self, now: Cycle) -> bool {
         self.inner.as_ref().is_some_and(|t| now >= t.next_sample)
     }
 
-    /// Records a periodic occupancy sample of each `(queue, occupancy)`
-    /// pair if one is due, feeding both the log2 histograms and the event
-    /// ring. No-op when disabled or not yet due.
-    pub fn maybe_sample(&mut self, now: Cycle, queues: &[(QueueId, u32)]) {
+    /// Samples each `(queue, occupancy)` pair at every grid point through
+    /// `now` not yet sampled, for a component whose queues held these
+    /// levels since its last sample (a jump or a sleep skips grid
+    /// points). Every grid point feeds the histogram; a level enters the
+    /// ring only when it changes. No-op when disabled.
+    pub fn sample(&mut self, now: Cycle, queues: &[(QueueId, u32)]) {
         let Some(t) = self.inner.as_mut() else { return };
-        if now < t.next_sample {
-            return;
-        }
-        t.next_sample = now + t.sample_interval;
+        let Some((first, points)) = t.due(now) else { return };
         for &(queue, occupancy) in queues {
-            t.occupancy[queue.slot()].record(u64::from(occupancy));
-            t.ring.push(TraceEvent {
-                at: now,
-                kind: TraceEventKind::OccupancySample { queue, occupancy },
-            });
+            for _ in 0..points {
+                t.occupancy[queue.slot()].record(u64::from(occupancy));
+            }
+            if t.level[queue.slot()].replace(occupancy) != Some(occupancy) {
+                let kind = TraceEventKind::OccupancySample { queue, occupancy };
+                t.ring.push(TraceEvent { at: first, kind });
+            }
         }
     }
 
-    /// Records a periodic cumulative cache-counter sample if one is due.
-    /// Callers should gate the (relatively expensive) stat aggregation on
+    /// Samples each level's cumulative `(level, hits, misses)` counters
+    /// at every grid point through `now` not yet sampled, for counters
+    /// that held these totals since the last sample. The ring gets the
+    /// per-interval deltas, each only when it changes. Callers should
+    /// gate the (relatively expensive) stat aggregation on
     /// [`Tracer::sample_due`].
-    pub fn maybe_sample_cache(&mut self, now: Cycle, levels: &[(CacheLevel, u64, u64)]) {
-        let Some(t) = self.inner.as_mut() else { return };
-        if now < t.next_sample {
-            return;
-        }
-        t.next_sample = now + t.sample_interval;
+    pub fn sample_cache(&mut self, now: Cycle, levels: &[(CacheLevel, u64, u64)]) {
+        let Some(t) = self.inner.as_deref_mut() else { return };
+        let Some((first, points)) = t.due(now) else { return };
         for &(level, hits, misses) in levels {
-            t.ring.push(TraceEvent {
-                at: now,
-                kind: TraceEventKind::CacheSample { level, hits, misses },
-            });
+            let (total, last) = &mut t.cache[level.slot()];
+            let interval = (hits - total.0, misses - total.1);
+            *total = (hits, misses);
+            // The first grid point closes the interval with the new
+            // counts; any later one closes an interval with none.
+            let deltas = [(first, interval), (first + SAMPLE_INTERVAL, (0, 0))];
+            for (at, (hits, misses)) in deltas.into_iter().take(points.min(2) as usize) {
+                if last.replace((hits, misses)) != Some((hits, misses)) {
+                    let kind = TraceEventKind::CacheSample { level, hits, misses };
+                    t.ring.push(TraceEvent { at, kind });
+                }
+            }
         }
+    }
+
+    /// Records the `n` cycles after the last one [`Tracer::sample`] or
+    /// this call recorded, which the component slept through with its
+    /// state frozen: `stall` held dispatch in each of them, and `queues`
+    /// are the levels throughout. Exactly what sampling and stalling
+    /// every one of those cycles records.
+    pub fn skip(&mut self, n: Cycle, stall: Option<StallCause>, queues: &[(QueueId, u32)]) {
+        let Some(from) = self.inner.as_ref().map(|t| t.clock).filter(|_| n > 0) else { return };
+        if let Some(cause) = stall {
+            self.stall(from, cause, n);
+        }
+        self.sample(from + n - 1, queues);
     }
 
     /// Records that an entry spent `cycles` waiting in `queue` before
@@ -177,11 +298,12 @@ impl Tracer {
     }
 
     /// Detaches everything captured so far, leaving the tracer disabled.
-    /// Returns `None` if the tracer was disabled.
+    /// The open stall run and the sampled counters are closed into the
+    /// ring first. Returns `None` if the tracer was disabled.
     pub fn take_dump(&mut self) -> Option<TrackDump> {
-        let t = self.inner.take()?;
-        let TracerInner { kind, ring, occupancy, wait, tx_records, .. } = *t;
-        let capacity = ring.capacity();
+        let mut t = self.inner.take()?;
+        t.close();
+        let TracerInner { kind, ring, occupancy, wait, stall_cycles, tx_records, .. } = *t;
         let (events, dropped_oldest) = ring.into_parts();
         let keep = |hists: [Log2Histogram; QueueId::COUNT]| {
             QueueId::ALL
@@ -194,9 +316,9 @@ impl Tracer {
             kind,
             events,
             dropped_oldest,
-            capacity,
             occupancy: keep(occupancy),
             wait: keep(wait),
+            stall_cycles,
             tx_records,
         })
     }
@@ -207,8 +329,8 @@ mod tests {
     use super::*;
     use crate::record::CommitWait;
 
-    fn on() -> TraceConfig {
-        TraceConfig { enabled: true, ring_capacity: 16, sample_interval: 10 }
+    fn kinds(d: &TrackDump) -> Vec<(Cycle, TraceEventKind)> {
+        d.events.iter().map(|e| (e.at, e.kind)).collect()
     }
 
     #[test]
@@ -218,32 +340,123 @@ mod tests {
         assert_eq!(t.capacity(), 0);
         assert!(!t.sample_due(0));
         t.emit(1, TraceEventKind::Reject { queue: QueueId::Wpq });
-        t.maybe_sample(1, &[(QueueId::Rob, 4)]);
+        t.stall(1, StallCause::RobFull, 1);
+        t.sample(1, &[(QueueId::Rob, 4)]);
+        t.skip(5, Some(StallCause::RobFull), &[(QueueId::Rob, 4)]);
         t.record_wait(QueueId::ReadQ, 9);
         assert!(t.take_dump().is_none());
-        // A config with enabled=false behaves identically.
-        assert!(!Tracer::new(TrackKind::Mc, &TraceConfig::disabled()).is_enabled());
+        assert!(!Tracer::new(TrackKind::Mc, false).is_enabled());
+        assert_eq!(Tracer::new(TrackKind::Mc, true).capacity(), RING_CAPACITY);
     }
 
     #[test]
     fn sampling_respects_interval() {
-        let mut t = Tracer::new(TrackKind::Core(0), &on());
-        for now in 0..25 {
-            t.maybe_sample(now, &[(QueueId::Rob, now as u32)]);
+        let mut t = Tracer::new(TrackKind::Core(0), true);
+        for now in 0..200 {
+            t.sample(now, &[(QueueId::Rob, now as u32)]);
         }
         let d = t.take_dump().unwrap();
-        // Due at 0, 10, 20 — three samples.
-        assert_eq!(d.events.len(), 3);
+        // Due at 0, 64, 128, 192 — four samples, each a change — and the
+        // dump's closing sample at the last grid point.
+        let at: Vec<Cycle> = d.events.iter().map(|e| e.at).collect();
+        assert_eq!(at, vec![0, 64, 128, 192, 192]);
         let (q, h) = &d.occupancy[0];
         assert_eq!(*q, QueueId::Rob);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), 20);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.max(), 192);
+    }
+
+    /// A stall that continues the open run extends it, by one cycle or by
+    /// a slept window; a new cause or a gap closes it into the ring.
+    #[test]
+    fn stall_runs_coalesce_and_extend_by_skipped_cycles() {
+        let mut t = Tracer::new(TrackKind::Core(0), true);
+        t.sample(10, &[]);
+        t.stall(10, StallCause::RobFull, 1);
+        t.skip(5, Some(StallCause::RobFull), &[]); // cycles 11..=15
+        t.sample(16, &[]);
+        t.stall(16, StallCause::RobFull, 1);
+        t.stall(17, StallCause::LogQFull, 1);
+        t.stall(19, StallCause::LogQFull, 1); // a gap at 18
+        let d = t.take_dump().unwrap();
+        let stall = |cause, cycles| TraceEventKind::Stall { cause, cycles };
+        assert_eq!(
+            kinds(&d),
+            vec![
+                (10, stall(StallCause::RobFull, 7)),
+                (17, stall(StallCause::LogQFull, 1)),
+                (19, stall(StallCause::LogQFull, 1)),
+            ]
+        );
+        assert_eq!(d.stall_cycles[StallCause::RobFull.slot()], 7);
+        assert_eq!(d.stall_cycles[StallCause::LogQFull.slot()], 2);
+    }
+
+    /// Sampling through a window fills every grid point it skipped with
+    /// the held levels, so a slept or jumped run feeds the histograms
+    /// exactly as per-cycle sampling does.
+    #[test]
+    fn skipped_grid_points_are_backfilled() {
+        let (mut stepped, mut slept) =
+            (Tracer::new(TrackKind::Core(0), true), Tracer::new(TrackKind::Core(0), true));
+        let levels = |now: Cycle| [(QueueId::Rob, if now < 100 { 3 } else { 9 })];
+        for now in 0..300 {
+            stepped.sample(now, &levels(now));
+        }
+        slept.sample(0, &levels(0));
+        slept.skip(99, None, &levels(0)); // cycles 1..=99
+        slept.sample(300 - 1, &levels(100)); // a jump to 299
+        let (a, b) = (stepped.take_dump().unwrap(), slept.take_dump().unwrap());
+        assert_eq!(a.occupancy, b.occupancy);
+        assert_eq!(a.occupancy[0].1.count(), 5); // 0, 64, 128, 192, 256
+        assert_eq!(kinds(&a), kinds(&b));
+    }
+
+    /// Only changes enter the ring, and the dump closes a counter that
+    /// held its value with that value at the last grid point. Cache
+    /// samples carry per-interval deltas.
+    #[test]
+    fn samples_enter_the_ring_only_on_change() {
+        let mut t = Tracer::new(TrackKind::Mc, true);
+        for now in 0..=256 {
+            t.sample(now, &[(QueueId::Lpq, 0), (QueueId::Wpq, u32::from(now >= 128))]);
+        }
+        let occ = |queue, occupancy| TraceEventKind::OccupancySample { queue, occupancy };
+        let d = t.take_dump().unwrap();
+        assert_eq!(
+            kinds(&d),
+            vec![
+                (0, occ(QueueId::Lpq, 0)),
+                (0, occ(QueueId::Wpq, 0)),
+                (128, occ(QueueId::Wpq, 1)),
+                (256, occ(QueueId::Wpq, 1)), // the dump closes each counter
+                (256, occ(QueueId::Lpq, 0)),
+            ]
+        );
+        assert_eq!(d.occupancy[0].1.count(), 5);
+
+        let mut t = Tracer::new(TrackKind::Cache, true);
+        t.sample_cache(0, &[(CacheLevel::L3, 0, 0)]);
+        t.sample_cache(64, &[(CacheLevel::L3, 10, 2)]);
+        t.sample_cache(128, &[(CacheLevel::L3, 20, 4)]);
+        t.sample_cache(400, &[(CacheLevel::L3, 25, 4)]); // a jump over 192..=384
+        let cache =
+            |hits, misses| TraceEventKind::CacheSample { level: CacheLevel::L3, hits, misses };
+        assert_eq!(
+            kinds(&t.take_dump().unwrap()),
+            vec![
+                (0, cache(0, 0)),
+                (64, cache(10, 2)),
+                (192, cache(5, 0)),
+                (256, cache(0, 0)),
+                (384, cache(0, 0)),
+            ]
+        );
     }
 
     #[test]
     fn dump_carries_records_waits_and_drops() {
-        let cfg = TraceConfig { enabled: true, ring_capacity: 4, sample_interval: 1 };
-        let mut t = Tracer::new(TrackKind::Mc, &cfg);
+        let mut t = Tracer::with_capacity(TrackKind::Mc, 4);
         for at in 0..9 {
             t.emit(at, TraceEventKind::Persist(crate::event::PersistKind::WpqAccept));
         }
@@ -261,7 +474,6 @@ mod tests {
         assert_eq!(d.name(), "mc");
         assert_eq!(d.events.len(), 4);
         assert_eq!(d.dropped_oldest, 5);
-        assert_eq!(d.capacity, 4);
         assert_eq!(d.wait.len(), 1);
         assert_eq!(d.wait[0].0, QueueId::ReadQ);
         assert_eq!(d.tx_records.len(), 1);

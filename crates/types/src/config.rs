@@ -328,61 +328,12 @@ impl LoggingSchemeKind {
     }
 }
 
-/// Configuration for the `proteus-trace` observability subsystem.
-///
-/// Deliberately **not** a [`SystemConfig`] field: tracing is a pure
-/// observer, and keeping it out of `SystemConfig` guarantees that
-/// experiment spec hashes (which hash the system configuration) and
-/// `RunSummary` outputs are byte-identical whether or not a run was
-/// traced. Pass it to `System::new_with_trace` alongside the config.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Master switch. When false, no trace buffers are allocated and every
-    /// emission site reduces to a single branch on a `None`.
-    pub enabled: bool,
-    /// Capacity of each per-component event ring. When full, the oldest
-    /// event is dropped and counted (never silently lost).
-    pub ring_capacity: usize,
-    /// Queue-occupancy / cache-counter sampling period in cycles.
-    pub sample_interval: Cycle,
-}
-
-impl TraceConfig {
-    /// Tracing off — the default; byte-identical to a pre-trace build.
-    pub fn disabled() -> Self {
-        TraceConfig { enabled: false, ring_capacity: 0, sample_interval: 0 }
-    }
-
-    /// Tracing on with defaults sized for Table-2-scale runs: a 64 Ki-event
-    /// ring per component and a 64-cycle sampling period.
-    pub fn enabled() -> Self {
-        TraceConfig { enabled: true, ring_capacity: 65_536, sample_interval: 64 }
-    }
-
-    /// Checks internal consistency (only meaningful when enabled).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.enabled && (self.ring_capacity == 0 || self.sample_interval == 0) {
-            return Err(
-                "TraceConfig: ring_capacity and sample_interval must be nonzero when enabled"
-                    .to_string(),
-            );
-        }
-        Ok(())
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::disabled()
-    }
-}
-
 /// Cycle-engine execution knobs.
 ///
-/// Like [`TraceConfig`], deliberately **not** a [`SystemConfig`] field:
-/// the engine mode changes how fast wall-clock time passes, never what
-/// is simulated, so keeping it out of `SystemConfig` guarantees spec
-/// hashes and `RunSummary` outputs are byte-identical across modes.
+/// Deliberately **not** a [`SystemConfig`] field: the engine mode
+/// changes how fast wall-clock time passes, never what is simulated, so
+/// keeping it out of `SystemConfig` guarantees spec hashes and
+/// `RunSummary` outputs are byte-identical across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Skip quiescent windows by advancing `now` straight to the next
@@ -619,24 +570,6 @@ mod tests {
         let mut cfg = SystemConfig::skylake_like();
         cfg.mem.wpq_low_watermark_pct = 90;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn trace_config_defaults_and_validation() {
-        let off = TraceConfig::default();
-        assert!(!off.enabled);
-        assert_eq!(off, TraceConfig::disabled());
-        assert!(off.validate().is_ok());
-
-        let on = TraceConfig::enabled();
-        assert!(on.enabled);
-        assert!(on.ring_capacity > 0 && on.sample_interval > 0);
-        assert!(on.validate().is_ok());
-
-        let bad = TraceConfig { enabled: true, ring_capacity: 0, sample_interval: 64 };
-        assert!(bad.validate().is_err());
-        let bad = TraceConfig { enabled: true, ring_capacity: 16, sample_interval: 0 };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod stats;
 
 pub use addr::{Addr, LineAddr, LogGrainAddr, CACHE_LINE_SIZE, LOG_GRAIN_SIZE};
 pub use clock::{ClockRatio, Cycle, NextEvent};
-pub use config::{EngineConfig, LoggingSchemeKind, MemTech, SystemConfig, TraceConfig};
+pub use config::{EngineConfig, LoggingSchemeKind, MemTech, SystemConfig};
 pub use error::SimError;
 pub use fasthash::{FastBuildHasher, FastMap, FastSet};
 pub use hash::{stable_hash_value, FieldHasher, StableHash, StableHasher};

@@ -47,7 +47,8 @@ impl StallCause {
         StallCause::LockWait,
     ];
 
-    fn slot(self) -> usize {
+    /// Dense index for per-cause arrays ([`StallCause::ALL`] order).
+    pub fn slot(self) -> usize {
         match self {
             StallCause::RobFull => 0,
             StallCause::IssueQFull => 1,

@@ -339,3 +339,90 @@ fn engine_skips_and_lands_on_the_same_final_cycle() {
     }
     assert!(skipped_any, "a queue workload must contain at least one skippable window");
 }
+
+/// One traced run, in a form two engine modes can be compared in: the
+/// `RunSummary`, and per track its name, drop count, histograms, per-cause
+/// stall cycles and transaction records, with its events beside them.
+/// Events compare as a multiset (sorted): a `Reject` stamped inside a
+/// skipped window enters the ring at the next tick, after the samples that
+/// tick backfilled, so ring order may differ where content does not.
+fn traced_run(
+    cfg: &SystemConfig,
+    workload: &GeneratedWorkload,
+    scheme: LoggingSchemeKind,
+    fast_forward: bool,
+) -> (RunSummary, Vec<(String, Vec<String>)>) {
+    let mut system = System::new_with_trace(cfg, scheme, workload, true).unwrap();
+    system.set_fast_forward(fast_forward);
+    let summary = system.run().unwrap();
+    let report = system.take_trace_report().expect("tracing was on");
+    report.check_against(&summary).unwrap();
+    let tracks = report
+        .tracks
+        .iter()
+        .map(|t| {
+            let mut events: Vec<String> = t.events.iter().map(|e| format!("{e:?}")).collect();
+            events.sort_unstable();
+            let head = format!(
+                "{} dropped={} occupancy={:?} wait={:?} stalls={:?} txs={:?}",
+                t.name(),
+                t.dropped_oldest,
+                t.occupancy,
+                t.wait,
+                t.stall_cycles,
+                t.tx_records
+            );
+            (head, events)
+        })
+        .collect();
+    assert_eq!(report.total_dropped(), 0, "{scheme:?}: the rings must hold the whole run");
+    (summary, tracks)
+}
+
+/// Tracing is observation of the one engine: a traced run sleeps and
+/// jumps like an untraced one, its `RunSummary` equals the untraced run's,
+/// and its trace is the single-stepped run's trace. Stall runs extended
+/// by slept cycles, grid samples backfilled across jumps, one `Reject` per
+/// waiting request and the blocked `tx-end` split all replay exactly. SS
+/// under Proteus sleeps behind the LR file with LLT retries credited;
+/// contended MQ under ATOM puts lock waiters to sleep.
+#[test]
+fn a_traced_run_is_the_same_with_fast_forward_on_and_off() {
+    use proteus_workgen::roster;
+    use proteus_workloads::{generate_contended, ContendedKind, ContendedSpec};
+
+    let queue = small(Benchmark::Queue);
+    let d = roster::by_cli_name("ss").expect("roster workload");
+    let swap = d.sel().generate(&d.params(4, 0.001));
+    let mq = generate_contended(
+        &ContendedSpec { kind: ContendedKind::MpmcQueue, early_release: false },
+        &WorkloadParams { threads: 4, init_ops: 48, sim_ops: 16, seed: 11 },
+    );
+    let four = SystemConfig::skylake_like().with_num_cores(4);
+    for (name, cfg, workload, scheme) in [
+        ("QE", config(), &queue, LoggingSchemeKind::Atom),
+        ("QE", config(), &queue, LoggingSchemeKind::Proteus),
+        ("QE", config(), &queue, LoggingSchemeKind::SwPmemPcommit),
+        ("SS", four.clone().with_cache_divisor(64), &swap, LoggingSchemeKind::Proteus),
+        ("MQ", four, &mq, LoggingSchemeKind::Atom),
+    ] {
+        let untraced = System::new(&cfg, scheme, workload).unwrap().run().unwrap();
+        let (sum_ff, trace_ff) = traced_run(&cfg, workload, scheme, true);
+        let (sum_ss, trace_ss) = traced_run(&cfg, workload, scheme, false);
+        assert_eq!(sum_ff, untraced, "{name}/{scheme:?}: tracing changed the RunSummary");
+        assert_eq!(sum_ss, untraced, "{name}/{scheme:?}: engine mode changed the RunSummary");
+        assert_eq!(trace_ff.len(), trace_ss.len());
+        for ((head_ff, events_ff), (head_ss, events_ss)) in trace_ff.iter().zip(&trace_ss) {
+            assert_eq!(head_ff, head_ss, "{name}/{scheme:?}: track diverged between engine modes");
+            let first = events_ff.iter().zip(events_ss).position(|(a, b)| a != b);
+            assert!(
+                events_ff == events_ss,
+                "{name}/{scheme:?}: {} events with fast-forward, {} without; first difference \
+                 (sorted) at {first:?} on track {}",
+                events_ff.len(),
+                events_ss.len(),
+                head_ff.split(' ').next().unwrap_or_default()
+            );
+        }
+    }
+}

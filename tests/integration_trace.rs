@@ -1,10 +1,10 @@
 //! Cross-crate integration for the tracing subsystem: zero-cost-when-
-//! disabled guarantees, trace/summary consistency, and bounded-ring
-//! overflow semantics on a real Table-2 workload.
+//! disabled guarantees and trace/summary consistency on a real Table-2
+//! workload.
 
 use proteus_sim::System;
 use proteus_trace::TrackKind;
-use proteus_types::config::{LoggingSchemeKind, SystemConfig, TraceConfig};
+use proteus_types::config::{LoggingSchemeKind, SystemConfig};
 use proteus_workloads::{generate, Benchmark, GeneratedWorkload, WorkloadParams};
 
 fn table2_queue() -> GeneratedWorkload {
@@ -26,13 +26,8 @@ fn disabled_tracing_allocates_nothing_and_changes_nothing() {
     let mut plain = System::new(&config(), LoggingSchemeKind::Proteus, &workload).unwrap();
     let baseline = plain.run().unwrap();
 
-    let mut traced = System::new_with_trace(
-        &config(),
-        LoggingSchemeKind::Proteus,
-        &workload,
-        &TraceConfig::disabled(),
-    )
-    .unwrap();
+    let mut traced =
+        System::new_with_trace(&config(), LoggingSchemeKind::Proteus, &workload, false).unwrap();
     assert_eq!(traced.trace_capacity(), 0, "disabled tracing must allocate no event storage");
     let summary = traced.run().unwrap();
     assert!(traced.take_trace_report().is_none(), "disabled tracing must yield no report");
@@ -48,13 +43,8 @@ fn enabled_tracing_observes_without_perturbing() {
     let mut plain = System::new(&config(), LoggingSchemeKind::Proteus, &workload).unwrap();
     let baseline = plain.run().unwrap();
 
-    let mut traced = System::new_with_trace(
-        &config(),
-        LoggingSchemeKind::Proteus,
-        &workload,
-        &TraceConfig::enabled(),
-    )
-    .unwrap();
+    let mut traced =
+        System::new_with_trace(&config(), LoggingSchemeKind::Proteus, &workload, true).unwrap();
     assert!(traced.trace_capacity() > 0);
     let summary = traced.run().unwrap();
     assert_eq!(summary, baseline, "tracing must be invisible to the simulated machine");
@@ -71,37 +61,4 @@ fn enabled_tracing_observes_without_perturbing() {
     }
     let mc = report.track(TrackKind::Mc).expect("MC track present");
     assert!(!mc.occupancy.is_empty(), "MC must sample queue occupancy");
-}
-
-/// A deliberately tiny ring must overflow, keep only the newest events,
-/// and surface the loss in `dropped_oldest` rather than hiding it.
-#[test]
-fn tiny_ring_overflow_is_counted_not_silent() {
-    let workload = table2_queue();
-    let trace = TraceConfig { enabled: true, ring_capacity: 16, sample_interval: 64 };
-    let mut system =
-        System::new_with_trace(&config(), LoggingSchemeKind::Proteus, &workload, &trace).unwrap();
-    system.run().unwrap();
-    let report = system.take_trace_report().expect("report");
-    assert!(report.total_dropped() > 0, "a 16-entry ring must overflow on a Table-2 run");
-    for track in &report.tracks {
-        assert!(
-            track.events.len() <= trace.ring_capacity,
-            "{:?}: retained {} events > capacity {}",
-            track.kind,
-            track.events.len(),
-            trace.ring_capacity
-        );
-    }
-}
-
-/// An enabled config with a zero ring or sampling period is a user
-/// error, and `System::new_with_trace` must refuse it up front.
-#[test]
-fn invalid_trace_config_is_rejected() {
-    let workload = table2_queue();
-    let bad = TraceConfig { enabled: true, ring_capacity: 0, sample_interval: 64 };
-    assert!(System::new_with_trace(&config(), LoggingSchemeKind::Proteus, &workload, &bad).is_err());
-    let bad = TraceConfig { enabled: true, ring_capacity: 16, sample_interval: 0 };
-    assert!(System::new_with_trace(&config(), LoggingSchemeKind::Proteus, &workload, &bad).is_err());
 }

@@ -21,11 +21,13 @@ do_test() {
     # tests.
     run cargo test -q --workspace
     # Paranoid engine cross-check: re-run the fast-forward determinism
-    # suite and the engine's unit tests (the skip rule, a contended
+    # suite, the tracing suite (traced runs sleep and jump like any
+    # other) and the engine's unit tests (the skip rule, a contended
     # cell) with every jump single-stepped under fingerprint assertions
     # and every sleeping core ticked anyway, then the crash suite, whose
     # explorations stop mid-run at persist events with cores asleep.
     run cargo test -q -p proteus-sim --features paranoid --test integration_fastforward
+    run cargo test -q -p proteus-sim --features paranoid --test integration_trace
     run cargo test -q -p proteus-sim --features paranoid --lib
     run cargo test -q -p proteus-crash --features proteus-sim/paranoid --test integration_crash
     # The benchmark builds with --offline but not --locked, so a
@@ -113,14 +115,20 @@ do_test() {
     # Smoke the cycle-level tracer end to end: `reproduce trace --file`
     # exits non-zero unless the trace reconciles (±0) with the
     # RunSummary, the emitted Chrome JSON parses, and every core and MC
-    # queue track carries at least one event. Independently require a
-    # non-trivial artifact.
-    run cargo run -q --release -p proteus-bench --bin reproduce -- \
-        trace --workload qe --scheme proteus --scale 0.02 --file "${OUT}/smoke_trace.json"
-    [[ -s "${OUT}/smoke_trace.json" ]] || {
-        echo "trace smoke produced an empty Chrome trace" >&2
-        exit 1
-    }
+    # queue track carries at least one event. QE under ATOM keeps its
+    # WPQ full (millions of rejected retries) and its LPQ idle; QE under
+    # Proteus drives the LPQ. Independently require non-trivial
+    # artifacts.
+    local scheme
+    for scheme in atom proteus; do
+        run cargo run -q --release -p proteus-bench --bin reproduce -- \
+            trace --workload qe --scheme "$scheme" --scale 0.02 \
+            --file "${OUT}/smoke_trace_${scheme}.json"
+        [[ -s "${OUT}/smoke_trace_${scheme}.json" ]] || {
+            echo "trace smoke produced an empty Chrome trace for ${scheme}" >&2
+            exit 1
+        }
+    done
     # Round-trip the scheme golden: regenerating it must reproduce the
     # committed file byte for byte (the seed schemes' spec hashes and
     # RunSummaries at the pin's two fixed scales).
