@@ -17,11 +17,12 @@
 #       caught, shrunk, and replayed through crashrepro), a
 #       `cargo run --example crash_recovery` run (asserts every
 #       failure-safe scheme stays consistent and the broken-ordering
-#       core is caught, shrunk and replayed), a record->replay
-#       op-trace round trip (`reproduce gen --workload indexer --file`
-#       then `reproduce replay --file`, which fails unless the replayed
-#       workload and every scheme's RunSummary are byte-identical to
-#       regenerating from the trace header), a resume round trip
+#       core is caught, shrunk and replayed), a workload-file round
+#       trip for the indexer preset and the contended mq row
+#       (`reproduce gen --workload W --file` then `reproduce replay
+#       --file`, which fails unless regenerating the saved selector and
+#       params gives the saved digest; a copy with edited params must
+#       fail with the digest message), a resume round trip
 #       (`reproduce fig8 --scale 0.002 --threads 2 --resume LEDGER`
 #       twice: the second run must execute no job and print
 #       byte-identical stdout), two `reproduce trace --file` runs (QE
@@ -54,9 +55,8 @@
 #       and survives a stratified crashsweep smoke), and the golden
 #       pin (six seed schemes byte-identical against
 #       crates/bench/tests/golden/fig6_seed_schemes.jsonl), and the
-#       workgen pin (preset selector/content hashes, every preset on
-#       every scheme, record->replay RunSummary byte-identity with
-#       fast-forwarding on and off, a generated-preset crashsweep
+#       workgen pin (preset selector hashes and workload digests,
+#       every preset on every scheme, a generated-preset crashsweep
 #       smoke)
 #   cargo fmt --check
 #   cargo clippy --workspace --all-targets -- -D warnings

@@ -68,10 +68,11 @@
 //!
 //! The workgen targets: `workloads` lists the workload roster (Table 2
 //! rows, generated presets, contended rows) and the scheme registry,
-//! with each row's roles; `gen --workload NAME` records a roster
-//! workload to an op trace (written to `--file` when given) and sweeps
-//! every scheme over it; `replay --file PATH` verifies and replays a
-//! trace, cross-checking byte-identity against regeneration.
+//! with each row's roles; `gen --workload NAME` sweeps every scheme
+//! over a roster workload and, with `--file`, saves it as one line (its
+//! selector, params and digest); `replay --file PATH` regenerates a
+//! saved workload, fails unless its digest matches the file's, and runs
+//! every scheme on it.
 
 use proteus_bench::experiments::{
     ablation_llt, ablation_threads, ablation_wpq, bench, contention, crashrepro, crashsweep, fig10,

@@ -19,7 +19,7 @@ use proteus_sim::runner::{sweep_schemes_with, SchemeSweep};
 use proteus_types::config::{LoggingSchemeKind, MemTech, SystemConfig};
 use proteus_types::stats::geometric_mean;
 use proteus_types::SimError;
-use proteus_workgen::{roster, WorkloadSel};
+use proteus_workgen::{codec, roster, WorkloadSel};
 use proteus_workloads::{Benchmark, WorkloadParams};
 
 /// Scale/threads knobs shared by every experiment.
@@ -71,9 +71,9 @@ pub struct ExperimentCtx {
     /// Harness options threaded into every scheme sweep.
     pub opts: SweepOptions,
     /// Artifact path (`--file`): the repro of `crashsweep`,
-    /// `contention` and `crashrepro`, the report of `bench`, the op
-    /// trace of `gen` and `replay`, the Chrome JSON of `trace`, and the
-    /// output of `golden`.
+    /// `contention` and `crashrepro`, the report of `bench`, the saved
+    /// workload of `gen` and `replay`, the Chrome JSON of `trace`, and
+    /// the output of `golden`.
     pub file: Option<std::path::PathBuf>,
     /// Roster workload for `gen`, `replay` and `trace` (`--workload`);
     /// `None` takes the target's default.
@@ -1244,20 +1244,18 @@ fn workload_or(ctx: &ExperimentCtx, default: &str) -> &'static roster::WorkloadD
     })
 }
 
-/// Generates a roster workload (`--workload`, default `ycsb-a`) while
-/// recording its op trace, then sweeps every scheme over it. With
-/// `--file`, writes the trace (versioned JSONL) for `replay`.
+/// Generates a roster workload (`--workload`, default `ycsb-a`) and
+/// sweeps every scheme over it. With `--file`, saves the workload for
+/// `replay`: one line holding its selector, params and digest.
 ///
 /// # Errors
 ///
-/// Fails on an invalid spec, simulation errors, or an unwritable trace
-/// path.
+/// Fails on an invalid spec, simulation errors, or an unwritable path.
 pub fn gen(ctx: &ExperimentCtx) -> Result<String, SimError> {
     let d = workload_or(ctx, "ycsb-a");
     let sel = d.sel();
     sel.validate()?;
     let params = d.params(ctx.scale.threads, ctx.scale.scale);
-    let (_workload, trace) = proteus_workgen::record(&sel, &params)?;
     let sweep = sweep_schemes_with(
         &ctx.scale.config().with_mem_tech(MemTech::NvmFast),
         sel.clone(),
@@ -1272,20 +1270,13 @@ pub fn gen(ctx: &ExperimentCtx) -> Result<String, SimError> {
             d.cli_name, d.blurb
         ),
     )?;
-    out.push_str(&format!(
-        "\ntrace: {} ops in {} durable groups across {} threads, content hash {:016x}",
-        trace.total_ops(),
-        trace.total_groups(),
-        trace.params.threads,
-        trace.content_hash()
-    ));
     if let Some(path) = &ctx.file {
-        let path_str = path
-            .to_str()
-            .ok_or_else(|| SimError::HarnessIo(format!("non-UTF8 path {}", path.display())))?;
-        proteus_workgen::codec::write_trace(&trace, path_str)?;
+        let digest = sel.generate(&params).digest();
+        std::fs::write(path, codec::workload_to_line(&sel, &params, digest)).map_err(|e| {
+            SimError::HarnessIo(format!("writing workload {}: {e}", path.display()))
+        })?;
         out.push_str(&format!(
-            "\ntrace written to {} — replay with: reproduce replay --file {}",
+            "\nworkload saved to {} (digest {digest:016x}) — replay with: reproduce replay --file {}",
             path.display(),
             path.display()
         ));
@@ -1293,80 +1284,53 @@ pub fn gen(ctx: &ExperimentCtx) -> Result<String, SimError> {
     Ok(out)
 }
 
-/// Replays an op trace: verifies the stored header and content hash,
-/// rebuilds the workload through the shared emission path, checks it
-/// is byte-identical to regenerating from the header spec, and runs
-/// every scheme on both — the `RunSummary` pairs must match exactly.
-/// With no `--file`, records the `--workload` selection (default
-/// `ycsb-a`) to a temp trace first, so the target is self-contained
-/// under `reproduce all`.
+/// Replays a saved workload (`--file`): regenerates it from the stored
+/// selector and params, fails unless its digest is the stored one, and
+/// runs every scheme on it. With no `--file`, it replays the line `gen`
+/// would save for the `--workload` selection (default `ycsb-a`), so the
+/// target is self-contained under `reproduce all`.
 ///
 /// # Errors
 ///
-/// Fails on an unreadable/corrupt trace, simulation errors, or any
-/// replay-vs-regeneration divergence (programs, images, or summaries).
+/// Fails on an unreadable, corrupt or edited file, a digest mismatch
+/// (the generator drifted since the file was saved), or simulation
+/// errors.
 pub fn replay(ctx: &ExperimentCtx) -> Result<String, SimError> {
     use proteus_sim::System;
 
-    let (path, provenance) = match &ctx.file {
-        Some(p) => (p.clone(), String::new()),
+    let (text, source) = match &ctx.file {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| {
+                SimError::HarnessIo(format!("reading workload {}: {e}", path.display()))
+            })?;
+            (text, path.display().to_string())
+        }
         None => {
             let d = workload_or(ctx, "ycsb-a");
+            let sel = d.sel();
             let params = d.params(ctx.scale.threads, ctx.scale.scale);
-            let (_, trace) = proteus_workgen::record(&d.sel(), &params)?;
-            let mut p = std::env::temp_dir();
-            p.push(format!("proteus_optrace_{}_{}.jsonl", d.cli_name, std::process::id()));
-            let s = p
-                .to_str()
-                .ok_or_else(|| SimError::HarnessIo(format!("non-UTF8 path {}", p.display())))?;
-            proteus_workgen::codec::write_trace(&trace, s)?;
-            (p.clone(), format!("(no --file: recorded '{}' to {})\n", d.cli_name, p.display()))
+            let digest = sel.generate(&params).digest();
+            (
+                codec::workload_to_line(&sel, &params, digest),
+                format!("'{}' (no --file)", d.cli_name),
+            )
         }
     };
-    let path_str = path
-        .to_str()
-        .ok_or_else(|| SimError::HarnessIo(format!("non-UTF8 path {}", path.display())))?;
-    let trace = proteus_workgen::codec::read_trace(path_str)?;
-    let replayed = proteus_workgen::replay(&trace)?;
-    let regenerated = trace.sel.generate(&trace.params);
-    if replayed.programs != regenerated.programs
-        || replayed.initial_image != regenerated.initial_image
-    {
-        return Err(SimError::ConsistencyViolation(format!(
-            "trace {} replays to different programs/image than regenerating '{}' from its header",
-            path.display(),
-            trace.sel.abbrev()
-        )));
-    }
-    let scale = ExperimentScale { threads: trace.params.threads, ..ctx.scale };
+    let (sel, params, workload) = codec::workload_from_str(&text)?;
+    let scale = ExperimentScale { threads: params.threads, ..ctx.scale };
     let config = scale.config().with_mem_tech(MemTech::NvmFast);
-    let mut table = Table::new(["scheme", "Mcycles", "replay == regen"]);
+    let mut table = Table::new(["scheme", "Mcycles"]);
     for &scheme in LoggingSchemeKind::ALL.iter() {
-        let run = |w: &proteus_workloads::GeneratedWorkload| -> Result<_, SimError> {
-            System::new(&config, scheme, w)?.run()
-        };
-        let a = run(&replayed)?;
-        let b = run(&regenerated)?;
-        if a != b {
-            return Err(SimError::ConsistencyViolation(format!(
-                "{}: replayed RunSummary diverges from regenerated run",
-                scheme.label()
-            )));
-        }
-        table.row([
-            scheme.label().to_string(),
-            format!("{:.2}", a.total_cycles as f64 / 1e6),
-            "yes".to_string(),
-        ]);
+        let summary = System::new(&config, scheme, &workload)?.run()?;
+        table
+            .row([scheme.label().to_string(), format!("{:.2}", summary.total_cycles as f64 / 1e6)]);
     }
     Ok(format!(
-        "Replay of {} — '{}', {} ops, {} groups, content hash {:016x}\n{}{}",
-        path.display(),
-        trace.sel.abbrev(),
-        trace.total_ops(),
-        trace.total_groups(),
-        trace.content_hash(),
-        provenance,
+        "Replay of {source} — '{}' on {} threads, {} transactions, digest {:016x} as saved\n{}",
+        sel.abbrev(),
+        params.threads,
+        workload.total_transactions(),
+        workload.digest(),
         table.render()
     ))
 }
@@ -1477,6 +1441,36 @@ mod tests {
         assert!(out.contains("all tracks populated"), "{out}");
         let decisions = out.split_once("=== recovery decisions ===\n").expect("a crash dump").1;
         assert_eq!(decisions.lines().count(), 2, "one decision per thread:\n{out}");
+    }
+
+    /// `gen --file` saves a workload that `replay` regenerates and runs,
+    /// for a Table 2 row, a preset and a contended row; a file whose
+    /// params were edited fails on its digest.
+    #[test]
+    fn gen_saves_what_replay_runs_on_every_workload_kind() {
+        for name in ["qe", "indexer", "mq"] {
+            let path = std::env::temp_dir()
+                .join(format!("proteus-bench-workload-{name}-{}.json", std::process::id()));
+            let mut ctx = tiny();
+            ctx.workload = roster::by_cli_name(name);
+            ctx.file = Some(path.clone());
+            let saved = gen(&ctx).unwrap();
+            assert!(saved.contains("replay with: reproduce replay --file"), "{name}: {saved}");
+            let out = replay(&ctx).unwrap();
+            let label = ctx.workload.unwrap().label();
+            assert!(out.contains(&format!("'{label}' on ")), "{name}: {out}");
+            assert!(out.contains("as saved\n"), "{name}: {out}");
+            for d in registry::all() {
+                assert!(out.contains(d.label), "{name}: no {} row:\n{out}", d.label);
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let edited = text.replacen("\"sim_ops\":", "\"sim_ops\":1", 1);
+            assert_ne!(edited, text);
+            std::fs::write(&path, edited).unwrap();
+            let err = replay(&ctx).unwrap_err().to_string();
+            std::fs::remove_file(&path).unwrap();
+            assert!(err.contains("digest mismatch"), "{name}: {err}");
+        }
     }
 
     /// The listing reads each workload's kind and rosters from its

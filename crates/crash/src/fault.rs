@@ -11,10 +11,6 @@
 //!   queue-resident until bank-write completion, so a correct ADR drain
 //!   overwrites the torn line: consistency is *still* expected, and this
 //!   fault is a regression tripwire for an ack-early controller bug.
-//! * [`FaultSpec::DroppedInFlight`] — requests submitted to but not yet
-//!   accepted by the controller vanish. Acceptance *is* the durability
-//!   acknowledgement, so this is exactly the clean model; the variant
-//!   exists to pin that contract in sweeps and repro artifacts.
 //! * [`FaultSpec::PartialAdr`] — the dying battery drains only a prefix
 //!   of each queue. This exceeds the guarantee the schemes were built on,
 //!   so violations are *expected detections*, proving the checker can see
@@ -36,9 +32,6 @@ pub enum FaultSpec {
         /// Word-survival mask for in-service writes.
         mask: u8,
     },
-    /// Unaccepted (hence unacknowledged) requests are dropped. Identical
-    /// to [`FaultSpec::Clean`] by construction — see the module docs.
-    DroppedInFlight,
     /// Only a prefix of each persistency-domain queue survives.
     PartialAdr {
         /// WPQ entries drained before the battery died.
@@ -52,7 +45,7 @@ impl FaultSpec {
     /// The controller-level fault knobs for this model.
     pub fn to_crash_faults(self) -> CrashFaults {
         match self {
-            FaultSpec::Clean | FaultSpec::DroppedInFlight => CrashFaults::clean(),
+            FaultSpec::Clean => CrashFaults::clean(),
             FaultSpec::TornLine { mask } => {
                 CrashFaults { torn_word_mask: Some(mask), ..CrashFaults::clean() }
             }
@@ -70,12 +63,11 @@ impl FaultSpec {
         !matches!(self, FaultSpec::PartialAdr { .. })
     }
 
-    /// Short job-name label (`clean`, `torn:0f`, `dropped`, `adr:2+1`).
+    /// Short job-name label (`clean`, `torn:0f`, `adr:2+1`).
     pub fn label(self) -> String {
         match self {
             FaultSpec::Clean => "clean".to_string(),
             FaultSpec::TornLine { mask } => format!("torn:{mask:02x}"),
-            FaultSpec::DroppedInFlight => "dropped".to_string(),
             FaultSpec::PartialAdr { wpq_keep, lpq_keep } => format!("adr:{wpq_keep}+{lpq_keep}"),
         }
     }
@@ -100,11 +92,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clean_and_dropped_share_the_clean_controller_model() {
+    fn clean_is_the_clean_controller_model() {
         assert!(FaultSpec::Clean.to_crash_faults().is_clean());
-        assert!(FaultSpec::DroppedInFlight.to_crash_faults().is_clean());
         assert!(FaultSpec::Clean.expects_consistency());
-        assert!(FaultSpec::DroppedInFlight.expects_consistency());
     }
 
     #[test]
@@ -123,7 +113,6 @@ mod tests {
         let labels = [
             FaultSpec::Clean.label(),
             FaultSpec::TornLine { mask: 0xF0 }.label(),
-            FaultSpec::DroppedInFlight.label(),
             FaultSpec::PartialAdr { wpq_keep: 1, lpq_keep: 2 }.label(),
         ];
         let unique: std::collections::HashSet<_> = labels.iter().collect();

@@ -16,8 +16,7 @@
 //!   (explorer, shrinker, replayer, property tests, example) shares this
 //!   one judgement.
 //! * [`fault`] — crash fault models beyond the clean ADR drain: torn
-//!   64-byte line writes, prefix-only battery drains, dropped in-flight
-//!   requests.
+//!   64-byte line writes and prefix-only battery drains.
 //! * [`explore`] — the crash-point engine: crash points are persist-event
 //!   indices (every durable acceptance, drain, clear, and marker stamp in
 //!   the memory controller), explored exhaustively for small executions

@@ -246,7 +246,6 @@ fn fault_to_json(fault: FaultSpec) -> Json {
         FaultSpec::TornLine { mask } => {
             Json::obj([("kind", Json::str("torn")), ("mask", Json::U64(mask as u64))])
         }
-        FaultSpec::DroppedInFlight => Json::obj([("kind", Json::str("dropped"))]),
         FaultSpec::PartialAdr { wpq_keep, lpq_keep } => Json::obj([
             ("kind", Json::str("partial_adr")),
             ("wpq_keep", Json::U64(wpq_keep as u64)),
@@ -260,7 +259,6 @@ fn fault_from_json(v: &Json) -> Option<FaultSpec> {
     match v.get("kind")?.as_str()? {
         "clean" => Some(FaultSpec::Clean),
         "torn" => Some(FaultSpec::TornLine { mask: u8::try_from(v.get("mask")?.as_u64()?).ok()? }),
-        "dropped" => Some(FaultSpec::DroppedInFlight),
         "partial_adr" => Some(FaultSpec::PartialAdr {
             wpq_keep: v.get("wpq_keep")?.as_usize()?,
             lpq_keep: v.get("lpq_keep")?.as_usize()?,
@@ -324,7 +322,6 @@ mod tests {
         for f in [
             FaultSpec::Clean,
             FaultSpec::TornLine { mask: 0xAA },
-            FaultSpec::DroppedInFlight,
             FaultSpec::PartialAdr { wpq_keep: 3, lpq_keep: 7 },
         ] {
             assert_eq!(fault_from_json(&fault_to_json(f)), Some(f));

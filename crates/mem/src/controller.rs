@@ -602,16 +602,22 @@ impl MemoryController {
     fn persist_event(&mut self, kind: PersistEventKind) {
         self.persist_seq += 1;
         if self.tracer.is_enabled() {
+            // A WPQ or LPQ insert or drain is on the trace once, as the
+            // queue's `Enqueue`/`Dequeue` counter its site stamps; only
+            // a coalescing WPQ accept, which changes no occupancy, is an
+            // instant (emitted by `insert_wpq`).
             let mapped = match kind {
-                PersistEventKind::WpqAccept { .. } => PersistKind::WpqAccept,
-                PersistEventKind::WpqDrain { .. } => PersistKind::WpqDrain,
-                PersistEventKind::LpqAccept { .. } => PersistKind::LpqAccept,
-                PersistEventKind::LpqDrain { .. } => PersistKind::LpqDrain,
-                PersistEventKind::LogClear { .. } => PersistKind::LogClear,
-                PersistEventKind::MarkerStamp { .. } => PersistKind::MarkerStamp,
-                PersistEventKind::MarkerDrop { .. } => PersistKind::MarkerDrop,
+                PersistEventKind::WpqAccept { .. }
+                | PersistEventKind::WpqDrain { .. }
+                | PersistEventKind::LpqAccept { .. }
+                | PersistEventKind::LpqDrain { .. } => None,
+                PersistEventKind::LogClear { .. } => Some(PersistKind::LogClear),
+                PersistEventKind::MarkerStamp { .. } => Some(PersistKind::MarkerStamp),
+                PersistEventKind::MarkerDrop { .. } => Some(PersistKind::MarkerDrop),
             };
-            self.tracer.emit(self.clock, TraceEventKind::Persist(mapped));
+            if let Some(mapped) = mapped {
+                self.tracer.emit(self.clock, TraceEventKind::Persist(mapped));
+            }
         }
         if self.record_persist {
             self.timeline.push(PersistEvent { seq: self.persist_seq, at: self.clock, kind });
@@ -1116,6 +1122,7 @@ impl MemoryController {
             e.data = data;
             self.stats.wpq_inserts += 1;
             self.persist_event(PersistEventKind::WpqAccept { line });
+            self.tracer.emit(self.clock, TraceEventKind::Persist(PersistKind::WpqCoalesce));
             return;
         }
         debug_assert!(self.wpq_admits(None), "the WPQ gate admitted a write with no free slot");
@@ -1929,6 +1936,44 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Acceptance is the durability acknowledgement: a write submitted
+    /// but not accepted yet, whether not yet due or turned away by a full
+    /// WPQ, is absent from the crash image, and present from the tick
+    /// that accepts it.
+    #[test]
+    fn unaccepted_writes_are_absent_from_the_crash_image() {
+        let word = |line: u64| Addr::new(0x1000_0000 + line * 64);
+        let mut mc = MemoryController::new(small_cfg(), layout(), LogDrainMode::KeepUntilCommit);
+        mc.submit(writeback(0, 7, 1), 30);
+        assert!(writeback_acks(&tick_through(&mut mc, 0, 29)).is_empty());
+        assert_eq!(mc.crash_image().read_word(word(0)), 0, "a write not yet due is lost");
+        assert_eq!(writeback_acks(&tick_through(&mut mc, 30, 30)), [(1, 30)]);
+        assert_eq!(mc.crash_image().read_word(word(0)), 7, "accepted on delivery");
+
+        let mut cfg = small_cfg();
+        cfg.wpq_entries = 2;
+        let mut mc = MemoryController::new(cfg, layout(), LogDrainMode::KeepUntilCommit);
+        for i in 0..3 {
+            mc.submit(writeback(i, i + 1, i), 0);
+        }
+        assert_eq!(writeback_acks(&tick_through(&mut mc, 0, 0)), [(0, 0), (1, 0)]);
+        assert!(mc.stats().wpq_full_rejections > 0);
+        let image = mc.crash_image();
+        assert_eq!((image.read_word(word(0)), image.read_word(word(1))), (1, 2));
+        assert_eq!(image.read_word(word(2)), 0, "a write the full WPQ turned away is lost");
+        let mut now = 0;
+        while mc.crash_image().read_word(word(2)) == 0 {
+            now += 1;
+            assert!(now < 10_000, "the full WPQ never took the waiting write");
+            let acks = writeback_acks(&tick_through(&mut mc, now, now));
+            assert_eq!(
+                acks.contains(&(2, now)),
+                mc.crash_image().read_word(word(2)) == 3,
+                "durable exactly from its acceptance (cycle {now})"
+            );
+        }
     }
 
     /// A request submitted first but delivered after a later submission

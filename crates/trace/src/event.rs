@@ -76,19 +76,15 @@ impl QueueId {
     }
 }
 
-/// A durable-state transition observed at the memory controller — the
-/// payload-free mirror of `proteus-mem`'s `PersistEventKind`, so the trace
-/// crate needs no dependency on the memory model.
+/// A durable-state transition the memory controller marks as an instant:
+/// one that no queue counter shows. Payload-free, so the trace crate
+/// needs no dependency on the memory model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PersistKind {
-    /// Write became durable by WPQ acceptance (ADR domain).
-    WpqAccept,
-    /// WPQ entry finished its NVMM bank write.
-    WpqDrain,
-    /// Log flush became durable by LPQ acceptance.
-    LpqAccept,
-    /// LPQ entry finished its NVMM bank write.
-    LpqDrain,
+    /// A write became durable by coalescing onto a pending WPQ entry (ADR
+    /// domain). Every other WPQ or LPQ accept and drain shows as the
+    /// queue's `Enqueue`/`Dequeue` counter instead.
+    WpqCoalesce,
     /// Commit-time flash clear dropped queue-resident log entries.
     LogClear,
     /// A commit marker was stamped onto a queue-resident log entry.
@@ -101,10 +97,7 @@ impl PersistKind {
     /// Stable label used in exports.
     pub fn label(self) -> &'static str {
         match self {
-            PersistKind::WpqAccept => "wpq-accept",
-            PersistKind::WpqDrain => "wpq-drain",
-            PersistKind::LpqAccept => "lpq-accept",
-            PersistKind::LpqDrain => "lpq-drain",
+            PersistKind::WpqCoalesce => "wpq-coalesce",
             PersistKind::LogClear => "log-clear",
             PersistKind::MarkerStamp => "marker-stamp",
             PersistKind::MarkerDrop => "marker-drop",

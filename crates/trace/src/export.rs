@@ -262,7 +262,10 @@ mod tests {
                 TrackDump {
                     kind: TrackKind::Mc,
                     events: vec![
-                        TraceEvent { at: 6, kind: TraceEventKind::Persist(PersistKind::LpqAccept) },
+                        TraceEvent {
+                            at: 6,
+                            kind: TraceEventKind::Persist(PersistKind::MarkerStamp),
+                        },
                         TraceEvent { at: 7, kind: TraceEventKind::Reject { queue: QueueId::Wpq } },
                     ],
                     dropped_oldest: 2,
@@ -284,7 +287,7 @@ mod tests {
         assert!(json.contains("\"mc.lpq\""));
         assert!(json.contains("\"name\":\"stall:logq-full\",\"ph\":\"X\",\"ts\":4,\"dur\":2"));
         assert!(json.contains("occ:logq"));
-        assert!(json.contains("persist:lpq-accept"));
+        assert!(json.contains("persist:marker-stamp"));
         assert!(json.contains("reject:wpq"));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"laggard\":\"logq-flush\""));

@@ -458,7 +458,7 @@ mod tests {
     fn dump_carries_records_waits_and_drops() {
         let mut t = Tracer::with_capacity(TrackKind::Mc, 4);
         for at in 0..9 {
-            t.emit(at, TraceEventKind::Persist(crate::event::PersistKind::WpqAccept));
+            t.emit(at, TraceEventKind::Persist(crate::event::PersistKind::WpqCoalesce));
         }
         t.record_wait(QueueId::ReadQ, 100);
         t.record_tx(TxRecord {

@@ -60,7 +60,7 @@ pub enum SimError {
     },
     /// A file could not be read or written: the harness's resume
     /// ledger, or an artifact a `reproduce` target reads or writes
-    /// (crash repro, op trace, benchmark report).
+    /// (crash repro, saved workload, benchmark report).
     HarnessIo(String),
     /// The crash-consistency checker found a recovered image that matches
     /// no transaction boundary of its workload (`proteus-crash`).

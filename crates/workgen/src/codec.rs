@@ -1,38 +1,39 @@
-//! JSON codecs for selectors, gen specs, and the JSONL trace file.
+//! JSON codecs for selectors, gen specs and params, and the saved
+//! workload file.
 //!
-//! ## Trace file format (version 1)
+//! ## Workload file format (version 1)
 //!
-//! Line 1 is the header:
+//! One line:
 //!
 //! ```json
-//! {"magic":"proteus-optrace","version":1,"name":"QEx2",
-//!  "sel":{...},"params":{...},"lines":N,"content_hash":"0123..ef"}
+//! {"magic":"proteus-workload","version":1,"sel":{...},"params":{...},
+//!  "digest":"0123456789abcdef"}
 //! ```
 //!
-//! followed by exactly `lines` body lines, each either an init chunk
-//! (`{"t":0,"init":[op,...]}`, at most [`INIT_CHUNK`] ops) or one
-//! durable group (`{"t":0,"tx":[op,...]}`), in generation order. Ops
-//! are compact arrays, tag first: `["MI",s,key,value]`.
-//!
-//! Loading verifies, in order: magic + version (wrong format), the
-//! declared body line count (truncation), per-line shape (corruption),
-//! and finally the recomputed [`OpTrace::content_hash`] against the
-//! header (any silent body edit). Each failure is a distinct
-//! `SimError::InvalidConfig` naming the offending line.
+//! `digest` is the `GeneratedWorkload::digest` of what `sel` and
+//! `params` generate: every program op and every initial-image word.
+//! Loading checks, in order: the line parses, the magic and version,
+//! the selector and params (decodable, a valid spec, and a thread count
+//! the selector and the address layout allow), and finally that
+//! regenerating the workload gives the stored digest, so an edited or
+//! corrupted file, or a generator that drifted since the file was saved,
+//! cannot run as the saved workload. Each failure is a distinct
+//! `SimError::InvalidConfig`.
 
 use crate::gen::{GenSpec, GenStructure, OpMix, Skew};
 use crate::sel::WorkloadSel;
-use crate::trace::{OpTrace, ThreadOps, TRACE_VERSION};
+use proteus_core::layout::AddressLayout;
 use proteus_harness::{json, Json};
 use proteus_types::SimError;
-use proteus_workloads::{Benchmark, ContendedKind, ContendedSpec, OpSpec, WorkloadParams};
+use proteus_workloads::{
+    Benchmark, ContendedKind, ContendedSpec, GeneratedWorkload, WorkloadParams,
+};
 
-/// Magic string identifying a trace file's first line.
-pub const TRACE_MAGIC: &str = "proteus-optrace";
+/// Magic string identifying a workload file.
+pub const WORKLOAD_MAGIC: &str = "proteus-workload";
 
-/// Init ops batched per body line (keeps big-init traces compact
-/// without unbounded lines).
-pub const INIT_CHUNK: usize = 1024;
+/// Current workload file format version.
+pub const WORKLOAD_VERSION: u64 = 1;
 
 /// Encodes a workload selector. `Bench` keeps the historical
 /// `Benchmark` encoding byte-for-byte (`{"kind":"QE"}`, `LargeTx` with
@@ -160,8 +161,8 @@ pub fn gen_spec_from_json(v: &Json) -> Option<GenSpec> {
     })
 }
 
-/// Encodes workload parameters (the op-trace header and the crash
-/// repro artifact share this shape).
+/// Encodes workload parameters (the workload file and the crash repro
+/// artifact share this shape).
 pub fn params_to_json(p: &WorkloadParams) -> Json {
     Json::obj([
         ("threads", Json::U64(p.threads as u64)),
@@ -181,205 +182,83 @@ pub fn params_from_json(v: &Json) -> Option<WorkloadParams> {
     })
 }
 
-/// Encodes one op as a compact tagged array.
-pub fn op_to_json(op: &OpSpec) -> Json {
-    let arr = |tag: &str, rest: &[u64]| {
-        let mut a = vec![Json::str(tag)];
-        a.extend(rest.iter().map(|&n| Json::U64(n)));
-        Json::Arr(a)
-    };
-    match *op {
-        OpSpec::Enqueue { s, value } => arr("ENQ", &[s as u64, value]),
-        OpSpec::Dequeue { s } => arr("DEQ", &[s as u64]),
-        OpSpec::MapInsert { s, key, value } => arr("MI", &[s as u64, key, value]),
-        OpSpec::MapDelete { s, key } => arr("MD", &[s as u64, key]),
-        OpSpec::Swap { i, j } => arr("SW", &[i, j]),
-        OpSpec::TreeInsert { s, key, value } => arr("TI", &[s as u64, key, value]),
-        OpSpec::TreeDelete { s, key } => arr("TD", &[s as u64, key]),
-        OpSpec::BigUpdate { node, base } => arr("BU", &[node, base]),
-        OpSpec::MapLookup { s, key } => arr("ML", &[s as u64, key]),
-        OpSpec::TreeLookup { s, key } => arr("TL", &[s as u64, key]),
-        OpSpec::TreeScan { s, key, len } => arr("TS", &[s as u64, key, len as u64]),
-        OpSpec::QueueDrain { s, n } => arr("QD", &[s as u64, n as u64]),
-    }
-}
-
-/// Decodes one op; `None` on unknown tags or wrong arity.
-pub fn op_from_json(v: &Json) -> Option<OpSpec> {
-    let a = v.as_arr()?;
-    let tag = a.first()?.as_str()?;
-    let n = |i: usize| a.get(i)?.as_u64();
-    let s = |i: usize| -> Option<usize> { usize::try_from(n(i)?).ok() };
-    let op = match (tag, a.len()) {
-        ("ENQ", 3) => OpSpec::Enqueue { s: s(1)?, value: n(2)? },
-        ("DEQ", 2) => OpSpec::Dequeue { s: s(1)? },
-        ("MI", 4) => OpSpec::MapInsert { s: s(1)?, key: n(2)?, value: n(3)? },
-        ("MD", 3) => OpSpec::MapDelete { s: s(1)?, key: n(2)? },
-        ("SW", 3) => OpSpec::Swap { i: n(1)?, j: n(2)? },
-        ("TI", 4) => OpSpec::TreeInsert { s: s(1)?, key: n(2)?, value: n(3)? },
-        ("TD", 3) => OpSpec::TreeDelete { s: s(1)?, key: n(2)? },
-        ("BU", 3) => OpSpec::BigUpdate { node: n(1)?, base: n(2)? },
-        ("ML", 3) => OpSpec::MapLookup { s: s(1)?, key: n(2)? },
-        ("TL", 3) => OpSpec::TreeLookup { s: s(1)?, key: n(2)? },
-        ("TS", 4) => OpSpec::TreeScan { s: s(1)?, key: n(2)?, len: u32::try_from(n(3)?).ok()? },
-        ("QD", 3) => OpSpec::QueueDrain { s: s(1)?, n: u32::try_from(n(2)?).ok()? },
-        _ => return None,
-    };
-    Some(op)
-}
-
-fn body_line_count(trace: &OpTrace) -> u64 {
-    trace
-        .threads
-        .iter()
-        .map(|t| t.init.len().div_ceil(INIT_CHUNK) as u64 + t.groups.len() as u64)
-        .sum()
-}
-
-/// Serialises a trace to its JSONL form.
-pub fn trace_to_string(trace: &OpTrace) -> String {
-    let header = Json::obj([
-        ("magic", Json::str(TRACE_MAGIC)),
-        ("version", Json::U64(TRACE_VERSION)),
-        ("name", Json::str(trace.workload_name())),
-        ("sel", sel_to_json(&trace.sel)),
-        ("params", params_to_json(&trace.params)),
-        ("lines", Json::U64(body_line_count(trace))),
-        ("content_hash", Json::str(format!("{:016x}", trace.content_hash()))),
-    ]);
-    let mut out = header.to_line();
-    out.push('\n');
-    for (t, ops) in trace.threads.iter().enumerate() {
-        for chunk in ops.init.chunks(INIT_CHUNK) {
-            let line = Json::obj([
-                ("t", Json::U64(t as u64)),
-                ("init", Json::Arr(chunk.iter().map(op_to_json).collect())),
-            ]);
-            out.push_str(&line.to_line());
-            out.push('\n');
-        }
-        for group in &ops.groups {
-            let line = Json::obj([
-                ("t", Json::U64(t as u64)),
-                ("tx", Json::Arr(group.iter().map(op_to_json).collect())),
-            ]);
-            out.push_str(&line.to_line());
-            out.push('\n');
-        }
-    }
-    out
+/// The workload file line for `sel` under `params`; `digest` is the
+/// `GeneratedWorkload::digest` of what they generate.
+pub fn workload_to_line(sel: &WorkloadSel, params: &WorkloadParams, digest: u64) -> String {
+    let mut line = Json::obj([
+        ("magic", Json::str(WORKLOAD_MAGIC)),
+        ("version", Json::U64(WORKLOAD_VERSION)),
+        ("sel", sel_to_json(sel)),
+        ("params", params_to_json(params)),
+        ("digest", Json::str(format!("{digest:016x}"))),
+    ])
+    .to_line();
+    line.push('\n');
+    line
 }
 
 fn bad(msg: impl Into<String>) -> SimError {
-    SimError::InvalidConfig(format!("op trace: {}", msg.into()))
+    SimError::InvalidConfig(format!("workload file: {}", msg.into()))
 }
 
-/// Parses and verifies a JSONL trace (see module docs for the checks).
-pub fn trace_from_str(text: &str) -> Result<OpTrace, SimError> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header_line = lines.next().ok_or_else(|| bad("empty file"))?;
-    let header = json::parse(header_line).map_err(|e| bad(format!("header unparsable: {e}")))?;
-    match header.get("magic").and_then(Json::as_str) {
-        Some(TRACE_MAGIC) => {}
-        _ => return Err(bad("missing or wrong magic (not an op-trace file)")),
+/// Parses a workload file and regenerates its workload (see the module
+/// docs for the checks). The workload is returned only if its digest is
+/// the stored one.
+pub fn workload_from_str(
+    text: &str,
+) -> Result<(WorkloadSel, WorkloadParams, GeneratedWorkload), SimError> {
+    let v = json::parse(text.trim_end()).map_err(|e| bad(format!("unparsable: {e}")))?;
+    match v.get("magic").and_then(Json::as_str) {
+        Some(WORKLOAD_MAGIC) => {}
+        _ => return Err(bad("missing or wrong magic (not a workload file)")),
     }
-    match header.get("version").and_then(Json::as_u64) {
-        Some(TRACE_VERSION) => {}
-        Some(v) => return Err(bad(format!("unsupported version {v} (expected {TRACE_VERSION})"))),
+    match v.get("version").and_then(Json::as_u64) {
+        Some(WORKLOAD_VERSION) => {}
+        Some(other) => {
+            return Err(bad(format!("unsupported version {other} (expected {WORKLOAD_VERSION})")))
+        }
         None => return Err(bad("missing version")),
     }
-    let sel = header
-        .get("sel")
-        .and_then(sel_from_json)
-        .ok_or_else(|| bad("header selector malformed"))?;
-    let params = header
-        .get("params")
-        .and_then(params_from_json)
-        .ok_or_else(|| bad("header params malformed"))?;
-    let declared_lines =
-        header.get("lines").and_then(Json::as_u64).ok_or_else(|| bad("missing line count"))?;
-    let declared_hash = header
-        .get("content_hash")
+    let sel = v.get("sel").and_then(sel_from_json).ok_or_else(|| bad("selector malformed"))?;
+    let params =
+        v.get("params").and_then(params_from_json).ok_or_else(|| bad("params malformed"))?;
+    let stored = v
+        .get("digest")
         .and_then(Json::as_str)
-        .ok_or_else(|| bad("missing content hash"))?
-        .to_string();
-
-    let mut threads: Vec<ThreadOps> = Vec::new();
-    threads.resize_with(params.threads, ThreadOps::default);
-    let mut seen = 0u64;
-    for (i, line) in lines.enumerate() {
-        let lineno = i + 2; // 1-based, after the header
-        let v = json::parse(line).map_err(|e| bad(format!("line {lineno} unparsable: {e}")))?;
-        let t = v
-            .get("t")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| bad(format!("line {lineno} missing thread index")))?;
-        if t >= threads.len() {
-            return Err(bad(format!(
-                "line {lineno} addresses thread {t} but header declares {}",
-                params.threads
-            )));
-        }
-        let decode = |arr: &Json, what: &str| -> Result<Vec<OpSpec>, SimError> {
-            arr.as_arr()
-                .ok_or_else(|| bad(format!("line {lineno} {what} is not an array")))?
-                .iter()
-                .map(|op| {
-                    op_from_json(op)
-                        .ok_or_else(|| bad(format!("line {lineno} has an unknown or malformed op")))
-                })
-                .collect()
-        };
-        if let Some(arr) = v.get("init") {
-            threads[t].init.extend(decode(arr, "init chunk")?);
-        } else if let Some(arr) = v.get("tx") {
-            threads[t].groups.push(decode(arr, "tx group")?);
-        } else {
-            return Err(bad(format!("line {lineno} is neither an init chunk nor a tx group")));
-        }
-        seen += 1;
-    }
-    if seen != declared_lines {
+        .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|d| u64::from_str_radix(d, 16).ok())
+        .ok_or_else(|| bad("digest missing or malformed"))?;
+    sel.validate().map_err(|e| bad(e.to_string()))?;
+    let min_threads = if matches!(sel, WorkloadSel::Contended(_)) { 2 } else { 1 };
+    let max_threads = AddressLayout::default().max_threads;
+    if !(min_threads..=max_threads).contains(&params.threads) {
         return Err(bad(format!(
-            "truncated: header declares {declared_lines} body lines, found {seen}"
+            "'{}' runs on {min_threads}..={max_threads} threads, params hold {}",
+            sel.abbrev(),
+            params.threads
         )));
     }
-    let trace = OpTrace { sel, params, threads };
-    let got = format!("{:016x}", trace.content_hash());
-    if got != declared_hash {
+    let workload = sel.generate(&params);
+    let got = workload.digest();
+    if got != stored {
         return Err(bad(format!(
-            "content hash mismatch (header {declared_hash}, recomputed {got}) — corrupt body"
+            "digest mismatch (file {stored:016x}, regenerated {got:016x}): the file was edited \
+             or the generator changed since it was saved"
         )));
     }
-    Ok(trace)
-}
-
-/// Writes a trace to `path` (JSONL).
-pub fn write_trace(trace: &OpTrace, path: &str) -> Result<(), SimError> {
-    std::fs::write(path, trace_to_string(trace))
-        .map_err(|e| SimError::HarnessIo(format!("writing trace {path}: {e}")))
-}
-
-/// Reads and verifies a trace from `path`.
-pub fn read_trace(path: &str) -> Result<OpTrace, SimError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| SimError::HarnessIo(format!("reading trace {path}: {e}")))?;
-    trace_from_str(&text)
+    Ok((sel, params, workload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{GenSpec, GenStructure, OpMix, Skew};
-    use crate::trace::record;
 
-    fn sample_trace() -> OpTrace {
-        let sel = WorkloadSel::from(Benchmark::Queue);
+    fn queue() -> (WorkloadSel, WorkloadParams) {
         let params = WorkloadParams { threads: 2, init_ops: 30, sim_ops: 10, seed: 5 };
-        record(&sel, &params).unwrap().1
+        (WorkloadSel::from(Benchmark::Queue), params)
     }
 
-    fn gen_trace() -> OpTrace {
+    fn kv() -> (WorkloadSel, WorkloadParams) {
         let sel = WorkloadSel::Gen(GenSpec {
             name: "kv".into(),
             structure: GenStructure::HashMap { buckets: 8 },
@@ -391,97 +270,137 @@ mod tests {
             tx_ops: 2,
             drain_batch: 0,
         });
-        let params = WorkloadParams { threads: 2, init_ops: 40, sim_ops: 12, seed: 9 };
-        record(&sel, &params).unwrap().1
+        (sel, WorkloadParams { threads: 2, init_ops: 40, sim_ops: 12, seed: 9 })
+    }
+
+    fn mq() -> (WorkloadSel, WorkloadParams) {
+        let sel = WorkloadSel::Contended(ContendedSpec {
+            kind: ContendedKind::MpmcQueue,
+            early_release: false,
+        });
+        (sel, WorkloadParams { threads: 2, init_ops: 16, sim_ops: 4, seed: 3 })
+    }
+
+    fn saved((sel, params): &(WorkloadSel, WorkloadParams)) -> String {
+        workload_to_line(sel, params, sel.generate(params).digest())
+    }
+
+    /// Saves `case` and loads it back: the load must give the same
+    /// selector, params, name, programs and image, and re-saving it the
+    /// identical line.
+    fn assert_round_trip(case: &(WorkloadSel, WorkloadParams)) {
+        let text = saved(case);
+        assert_eq!(text.lines().count(), 1, "one line: {text}");
+        let (sel, params, workload) = workload_from_str(&text).expect("round trip");
+        assert_eq!((&sel, &params), (&case.0, &case.1));
+        let original = case.0.generate(&case.1);
+        assert_eq!(workload.name, original.name);
+        assert_eq!(workload.programs, original.programs, "{}", sel.abbrev());
+        assert_eq!(workload.initial_image, original.initial_image, "{}", sel.abbrev());
+        assert_eq!(workload_to_line(&sel, &params, workload.digest()), text);
     }
 
     #[test]
-    fn every_op_kind_round_trips() {
-        let ops = [
-            OpSpec::Enqueue { s: 1, value: 42 },
-            OpSpec::Dequeue { s: 0 },
-            OpSpec::MapInsert { s: 2, key: 7, value: 8 },
-            OpSpec::MapDelete { s: 3, key: 9 },
-            OpSpec::Swap { i: 4, j: 5 },
-            OpSpec::TreeInsert { s: 0, key: 1, value: 2 },
-            OpSpec::TreeDelete { s: 1, key: 3 },
-            OpSpec::BigUpdate { node: 2, base: 100 },
-            OpSpec::MapLookup { s: 0, key: 11 },
-            OpSpec::TreeLookup { s: 1, key: 12 },
-            OpSpec::TreeScan { s: 2, key: 13, len: 16 },
-            OpSpec::QueueDrain { s: 3, n: 12 },
-        ];
-        for op in ops {
-            assert_eq!(op_from_json(&op_to_json(&op)), Some(op), "{op:?}");
+    fn workload_file_round_trips_bench_and_gen() {
+        assert_round_trip(&queue());
+        assert_round_trip(&kv());
+    }
+
+    #[test]
+    fn load_is_byte_identical_for_every_table2_bench() {
+        let (_, params) = queue();
+        for b in Benchmark::TABLE2.into_iter().chain([Benchmark::LargeTx { elements: 64 }]) {
+            assert_round_trip(&(WorkloadSel::from(b), params.clone()));
         }
     }
 
     #[test]
-    fn trace_round_trips_bench_and_gen() {
-        for trace in [sample_trace(), gen_trace()] {
-            let text = trace_to_string(&trace);
-            let back = trace_from_str(&text).expect("round trip");
-            assert_eq!(back, trace);
+    fn load_is_byte_identical_for_generated_workloads() {
+        let sel = WorkloadSel::Gen(GenSpec {
+            name: "mix".into(),
+            structure: GenStructure::BTree,
+            per_thread: 2,
+            key_range: 500,
+            mix: OpMix { read_pct: 30, insert_pct: 40, delete_pct: 10, scan_pct: 20, drain_pct: 0 },
+            skew: Skew::Zipfian { theta_milli: 900 },
+            scan_len: 5,
+            tx_ops: 3,
+            drain_batch: 0,
+        });
+        assert_round_trip(&(sel, kv().1));
+    }
+
+    #[test]
+    fn contended_selectors_save_and_load() {
+        for kind in ContendedKind::ALL {
+            for early_release in [false, true] {
+                let sel = WorkloadSel::Contended(ContendedSpec { kind, early_release });
+                assert_round_trip(&(sel, mq().1));
+            }
         }
     }
 
     #[test]
-    fn truncated_trace_is_rejected() {
-        let text = trace_to_string(&sample_trace());
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.pop();
-        let truncated = lines.join("\n");
-        let err = trace_from_str(&truncated).unwrap_err();
-        assert!(format!("{err}").contains("truncated"), "{err}");
+    fn truncated_workload_file_is_rejected() {
+        let text = saved(&queue());
+        let err = workload_from_str(&text[..text.len() / 2]).unwrap_err();
+        assert!(format!("{err}").contains("unparsable"), "{err}");
     }
 
     #[test]
     fn corrupt_header_is_rejected() {
-        let text = trace_to_string(&sample_trace());
+        let text = saved(&queue());
         // Wrong magic.
-        let bad_magic = text.replacen(TRACE_MAGIC, "not-a-trace", 1);
-        assert!(trace_from_str(&bad_magic).is_err());
+        let bad_magic = text.replacen(WORKLOAD_MAGIC, "not-a-workload", 1);
+        assert!(format!("{}", workload_from_str(&bad_magic).unwrap_err()).contains("magic"));
         // Unsupported version.
         let bad_version = text.replacen("\"version\":1", "\"version\":99", 1);
-        let err = trace_from_str(&bad_version).unwrap_err();
+        let err = workload_from_str(&bad_version).unwrap_err();
         assert!(format!("{err}").contains("version"), "{err}");
-        // Unparsable header line.
+        // Unparsable line.
         let mut broken = text.clone();
         broken.replace_range(0..1, "X");
-        assert!(trace_from_str(&broken).is_err());
+        assert!(workload_from_str(&broken).is_err());
+    }
+
+    #[test]
+    fn load_rejects_thread_mismatch() {
+        // A thread count the selector or the address layout cannot run is
+        // caught before generation.
+        for (case, threads) in [(mq(), 1), (queue(), 0), (queue(), 17)] {
+            let from = format!("\"threads\":{}", case.1.threads);
+            let to = format!("\"threads\":{threads}");
+            let text = saved(&case).replacen(&from, &to, 1);
+            let err = workload_from_str(&text).unwrap_err();
+            assert!(format!("{err}").contains(&format!("params hold {threads}")), "{err}");
+        }
     }
 
     #[test]
     fn corrupt_body_fails_content_hash() {
-        let text = trace_to_string(&sample_trace());
-        // Flip one op value in the body without touching line count.
-        let tampered = text.replacen("[\"ENQ\",", "[\"DEQ\",", 1);
-        // If the trace had no enqueue (unlikely), skip — nothing tampered.
-        if tampered != text {
-            let err = trace_from_str(&tampered).unwrap_err();
-            let msg = format!("{err}");
-            // Either arity check or the content hash catches it.
-            assert!(msg.contains("hash") || msg.contains("malformed"), "{msg}");
+        // Edited params and a flipped digest digit both still parse; the
+        // regenerated workload's digest catches them.
+        for case in [queue(), kv(), mq()] {
+            let text = saved(&case);
+            let seed = format!("\"seed\":{}", case.1.seed);
+            let edited = text.replacen(&seed, &format!("\"seed\":{}", case.1.seed + 1), 1);
+            assert_ne!(edited, text);
+            let err = workload_from_str(&edited).unwrap_err();
+            assert!(format!("{err}").contains("digest mismatch"), "{err}");
+            let at = text.find("\"digest\":\"").unwrap() + 10;
+            let mut flipped = text.clone().into_bytes();
+            flipped[at] = if flipped[at] == b'0' { b'1' } else { b'0' };
+            let err = workload_from_str(&String::from_utf8(flipped).unwrap()).unwrap_err();
+            assert!(format!("{err}").contains("digest mismatch"), "{err}");
         }
     }
 
     #[test]
     fn empty_and_garbage_inputs_are_rejected() {
-        assert!(trace_from_str("").is_err());
-        assert!(trace_from_str("\n\n").is_err());
-        assert!(trace_from_str("{\"magic\":\"proteus-optrace\"}").is_err());
-        assert!(trace_from_str("hello world").is_err());
-    }
-
-    #[test]
-    fn init_chunking_splits_large_inits() {
-        let sel = WorkloadSel::from(Benchmark::Queue);
-        let params = WorkloadParams { threads: 1, init_ops: INIT_CHUNK + 10, sim_ops: 1, seed: 1 };
-        let (_, trace) = record(&sel, &params).unwrap();
-        let text = trace_to_string(&trace);
-        // header + 2 init chunks + 1 tx line
-        assert_eq!(text.lines().count(), 4);
-        assert_eq!(trace_from_str(&text).expect("round trip"), trace);
+        assert!(workload_from_str("").is_err());
+        assert!(workload_from_str("\n\n").is_err());
+        assert!(workload_from_str("{\"magic\":\"proteus-workload\"}").is_err());
+        assert!(workload_from_str("hello world").is_err());
     }
 
     #[test]
@@ -495,9 +414,8 @@ mod tests {
             sel_to_json(&WorkloadSel::from(Benchmark::Queue)).to_line(),
             "{\"kind\":\"QE\"}"
         );
-        for trace in [sample_trace(), gen_trace()] {
-            let j = sel_to_json(&trace.sel);
-            assert_eq!(sel_from_json(&j), Some(trace.sel));
+        for (sel, _) in [queue(), kv()] {
+            assert_eq!(sel_from_json(&sel_to_json(&sel)), Some(sel));
         }
     }
 

@@ -1,6 +1,6 @@
 //! The composable workload generator: a [`GenSpec`] describes an op
 //! mix, key skew, transaction size, and working set over one of the
-//! registered structure kinds; [`generate_gen_with`] turns it into the
+//! registered structure kinds; [`generate_gen`] turns it into the
 //! same scheme-independent `Program` + `WordImage` shape the Table 2
 //! workloads produce, via the shared `workloads::spec` emission path.
 //!
@@ -18,7 +18,7 @@ use proteus_workloads::hashmap::HashMapStruct;
 use proteus_workloads::queue::Queue;
 use proteus_workloads::{
     emit_op_group, lock_base_for, run_op, thread_alloc, DirectMem, GeneratedWorkload, NodeAlloc,
-    OpRecorder, OpSpec, Structures, WorkloadParams,
+    OpSpec, Structures, WorkloadParams,
 };
 
 /// The structure kind a generated workload runs against.
@@ -132,7 +132,7 @@ impl StableHash for Skew {
 /// experiment spec hash and the derived workload seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenSpec {
-    /// Short name used in CLI, workload labels, and trace headers.
+    /// Short name used in CLI and workload labels.
     pub name: String,
     /// Structure kind.
     pub structure: GenStructure,
@@ -227,9 +227,8 @@ impl GenSpec {
     }
 }
 
-/// Creates one thread's generated structures in `image` via `alloc`
-/// (the replayer calls this too, so traces rebuild byte-identically).
-pub(crate) fn build_gen_structures(
+/// Creates one thread's generated structures in `image` via `alloc`.
+fn build_gen_structures(
     spec: &GenSpec,
     image: &mut WordImage,
     alloc: &mut NodeAlloc,
@@ -326,19 +325,15 @@ fn draw_sim_op(
     }
 }
 
-/// Generates a workload from `spec`, reporting every drawn op to
-/// `rec`. The emission path (`emit_op_group`) is shared with Table 2
-/// generation, so the crash oracle's per-thread discipline holds.
+/// Generates a workload from `spec`. The emission path
+/// (`emit_op_group`) is shared with Table 2 generation, so the crash
+/// oracle's per-thread discipline holds.
 ///
 /// # Panics
 ///
 /// Panics if `spec` fails [`GenSpec::validate`] or a thread's arena is
 /// exhausted — same contract as `workloads::generate`.
-pub fn generate_gen_with(
-    spec: &GenSpec,
-    params: &WorkloadParams,
-    rec: &mut impl OpRecorder,
-) -> GeneratedWorkload {
+pub fn generate_gen(spec: &GenSpec, params: &WorkloadParams) -> GeneratedWorkload {
     assert!(params.threads > 0, "need at least one thread");
     if let Err(e) = spec.validate() {
         panic!("invalid gen spec {}: {e}", spec.name);
@@ -359,7 +354,6 @@ pub fn generate_gen_with(
 
         for _ in 0..params.init_ops {
             let op = draw_init_op(spec, key_range, &mut rng);
-            rec.record_init(t, op);
             let mut m = DirectMem::new(&mut image);
             run_op(&mut m, &mut alloc, &structures, op);
         }
@@ -374,7 +368,6 @@ pub fn generate_gen_with(
             for _ in 0..k {
                 group.push(draw_sim_op(spec, key_range, zipf.as_ref(), &mut rng));
             }
-            rec.record_group(t, &group);
             emit_op_group(&mut image, &mut program, &mut alloc, &structures, &group, lock_base);
             remaining -= k;
         }
@@ -416,8 +409,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let (s, p) = (tiny_spec(), params());
-        let a = generate_gen_with(&s, &p, &mut ());
-        let b = generate_gen_with(&s, &p, &mut ());
+        let a = generate_gen(&s, &p);
+        let b = generate_gen(&s, &p);
         assert_eq!(a.programs, b.programs);
         assert_eq!(a.initial_image, b.initial_image);
     }
@@ -455,7 +448,7 @@ mod tests {
             },
         ];
         for s in specs {
-            let w = generate_gen_with(&s, &params(), &mut ());
+            let w = generate_gen(&s, &params());
             assert_eq!(w.programs.len(), 2, "{}", s.name);
             assert!(w.total_transactions() > 0, "{}", s.name);
             for p in &w.programs {
@@ -474,8 +467,8 @@ mod tests {
         let mut batched = write_only.clone();
         batched.tx_ops = 4;
         let p = params();
-        let single = generate_gen_with(&write_only, &p, &mut ());
-        let grouped = generate_gen_with(&batched, &p, &mut ());
+        let single = generate_gen(&write_only, &p);
+        let grouped = generate_gen(&batched, &p);
         // 40 sim ops: 40 txs single vs 10 txs batched (per thread).
         assert_eq!(single.total_transactions(), 80);
         assert_eq!(grouped.total_transactions(), 20);
@@ -485,7 +478,7 @@ mod tests {
     fn readonly_mix_emits_no_transactions() {
         let mut ro = tiny_spec();
         ro.mix = OpMix { read_pct: 100, insert_pct: 0, delete_pct: 0, scan_pct: 0, drain_pct: 0 };
-        let w = generate_gen_with(&ro, &params(), &mut ());
+        let w = generate_gen(&ro, &params());
         assert_eq!(w.total_transactions(), 0);
         for p in &w.programs {
             assert!(!p.ops.is_empty());
@@ -549,26 +542,18 @@ mod tests {
     fn zipfian_skews_generated_keys() {
         let mut s = tiny_spec();
         s.key_range = 10_000;
-        s.skew = Skew::Zipfian { theta_milli: 990 };
-        let p = WorkloadParams { threads: 1, init_ops: 50, sim_ops: 400, seed: 5 };
-        struct KeyCollector(Vec<u64>);
-        impl OpRecorder for KeyCollector {
-            fn record_init(&mut self, _t: usize, _op: OpSpec) {}
-            fn record_group(&mut self, _t: usize, ops: &[OpSpec]) {
-                for op in ops {
-                    match *op {
-                        OpSpec::MapLookup { key, .. }
-                        | OpSpec::MapInsert { key, .. }
-                        | OpSpec::MapDelete { key, .. } => self.0.push(key),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        let mut keys = KeyCollector(Vec::new());
-        generate_gen_with(&s, &p, &mut keys);
-        assert_eq!(keys.0.len(), 400);
-        let hot = keys.0.iter().filter(|&&k| k < 100).count();
+        // The run phase's draw under `Skew::Zipfian { theta_milli: 990 }`.
+        let zipf = Zipfian::new(s.key_range, 0.99);
+        let mut rng = SplitMix64::new(5);
+        let keys: Vec<u64> = (0..400)
+            .map(|_| match draw_sim_op(&s, s.key_range, Some(&zipf), &mut rng) {
+                OpSpec::MapLookup { key, .. }
+                | OpSpec::MapInsert { key, .. }
+                | OpSpec::MapDelete { key, .. } => key,
+                op => panic!("a hash-map mix drew {op:?}"),
+            })
+            .collect();
+        let hot = keys.iter().filter(|&&k| k < 100).count();
         assert!(hot > 80, "zipfian head too cold: {hot}/400 in top 1%");
     }
 }

@@ -1,29 +1,28 @@
 #![warn(missing_docs)]
-//! Trace-driven and generated workloads for the Proteus simulator.
+//! Generated workloads and the workload roster for the Proteus
+//! simulator.
 //!
-//! Three pieces, layered on `proteus-workloads`' public op model:
+//! Layered on `proteus-workloads`' public op model:
 //!
 //! - **[`WorkloadSel`]** — the workload selector experiment/crash
 //!   specs carry: a paper `Benchmark` (hash- and codec-transparent
-//!   with the pre-existing bare enum) or a generated [`GenSpec`].
-//! - **Op traces** ([`trace`], [`codec`]) — a versioned JSONL record
-//!   of the per-thread op streams a generation drew, replayable into a
-//!   byte-identical `Program` + `WordImage` via the shared
-//!   `workloads::spec` emission path.
+//!   with the pre-existing bare enum), a generated [`GenSpec`], or a
+//!   contended shared-structure spec.
 //! - **The generator** ([`gen`]) — composable op-mix / skew / tx-size /
 //!   scan-length / working-set knobs with named presets registered in
 //!   the [`roster`] (mirroring the scheme registry), so `reproduce`,
 //!   the bench basket, the crashsweep, and the contention sweep pick
 //!   new workloads up automatically.
+//! - **The codecs** ([`codec`]) — JSON for selectors and params, and
+//!   the saved-workload file: a selector, its params and the digest of
+//!   what they generate, which loading regenerates and checks.
 
 pub mod codec;
 pub mod gen;
 pub mod rng;
 pub mod roster;
 pub mod sel;
-pub mod trace;
 
-pub use gen::{generate_gen_with, GenSpec, GenStructure, OpMix, Skew};
+pub use gen::{generate_gen, GenSpec, GenStructure, OpMix, Skew};
 pub use rng::{skew_fingerprint, Zipfian};
 pub use sel::WorkloadSel;
-pub use trace::{record, replay, OpTrace, ThreadOps, TRACE_VERSION};

@@ -45,28 +45,20 @@ impl WorkloadDescriptor {
         self.sel().abbrev().to_string()
     }
 
-    /// Workload parameters at `scale`, with the structurally derived
-    /// seed. For Table 2 rows this is exactly
-    /// `WorkloadParams::table2(..).with_derived_seed(..)`; presets
-    /// scale their own base op counts the same way.
+    /// Workload parameters at `scale`: `base_ops` scaled like Table 2's
+    /// op counts, with the structurally derived seed. For Table 2 rows,
+    /// whose `base_ops` are the paper's counts, this is exactly
+    /// `WorkloadParams::table2(..).with_derived_seed(..)`.
     pub fn params(&self, threads: usize, scale: f64) -> WorkloadParams {
-        let sel = self.sel();
-        match &sel {
-            WorkloadSel::Bench(b) => {
-                WorkloadParams::table2(*b, threads, scale).with_derived_seed(*b)
-            }
-            WorkloadSel::Gen(_) | WorkloadSel::Contended(_) => {
-                let (init, sim) = self.base_ops;
-                sel.derived_params(WorkloadParams {
-                    // Contended generation needs at least two threads —
-                    // one core cannot contend with itself.
-                    threads: if self.contended { threads.max(2) } else { threads },
-                    init_ops: ((init as f64 * scale) as usize).max(1),
-                    sim_ops: ((sim as f64 * scale) as usize).max(1),
-                    seed: 0,
-                })
-            }
-        }
+        let (init, sim) = self.base_ops;
+        self.sel().derived_params(WorkloadParams {
+            // Contended generation needs at least two threads — one
+            // core cannot contend with itself.
+            threads: if self.contended { threads.max(2) } else { threads },
+            init_ops: ((init as f64 * scale) as usize).max(1),
+            sim_ops: ((sim as f64 * scale) as usize).max(1),
+            seed: 0,
+        })
     }
 }
 
@@ -170,12 +162,13 @@ fn million_key() -> WorkloadSel {
 }
 
 /// The full roster. Table 2 rows keep their paper op counts in
-/// `base_ops` for listing purposes (their `params()` goes through
-/// `WorkloadParams::table2` as always). The crashsweep roster keeps
-/// the historical QE/HM/RT trio and adds the two most write-heavy
-/// presets; the bench basket holds every Table 2 row (the pointer-chasing
-/// AT/BT/RT included) and adds ycsb-a plus the three contended rows
-/// (MQ/CH/LB), which also form the `reproduce contention` roster.
+/// `base_ops`, so their `params()` equal `WorkloadParams::table2`'s
+/// (`table2_params_match_experiment_scale_formula`). The crashsweep
+/// roster keeps the historical QE/HM/RT trio and adds the two most
+/// write-heavy presets; the bench basket holds every Table 2 row (the
+/// pointer-chasing AT/BT/RT included) and adds ycsb-a plus the three
+/// contended rows (MQ/CH/LB), which also form the `reproduce
+/// contention` roster.
 static ROSTER: [WorkloadDescriptor; 15] = [
     WorkloadDescriptor {
         cli_name: "qe",

@@ -7,11 +7,11 @@
 //! unchanged; `Gen` extends the same identity scheme to generated
 //! workloads.
 
-use crate::gen::{generate_gen_with, GenSpec};
+use crate::gen::{generate_gen, GenSpec};
 use proteus_types::{FieldHasher, SimError, StableHash, StableHasher};
 use proteus_workloads::{
-    generate_contended, generate_with, Benchmark, ContendedKind, ContendedSpec, GeneratedWorkload,
-    OpRecorder, WorkloadParams,
+    generate, generate_contended, Benchmark, ContendedKind, ContendedSpec, GeneratedWorkload,
+    WorkloadParams,
 };
 
 /// Selects the workload an experiment runs.
@@ -86,23 +86,9 @@ impl WorkloadSel {
     /// panics on an invalid spec or arena exhaustion; the harness's
     /// per-job panic isolation turns that into a recorded failure).
     pub fn generate(&self, params: &WorkloadParams) -> GeneratedWorkload {
-        self.generate_recorded(params, &mut ())
-    }
-
-    /// [`WorkloadSel::generate`] with an [`OpRecorder`] observing the
-    /// drawn op stream (the trace recorder's entry point).
-    pub fn generate_recorded(
-        &self,
-        params: &WorkloadParams,
-        rec: &mut impl OpRecorder,
-    ) -> GeneratedWorkload {
         match self {
-            WorkloadSel::Bench(b) => generate_with(*b, params, rec),
-            WorkloadSel::Gen(g) => generate_gen_with(g, params, rec),
-            // Contended generation draws from a *global* schedule, not
-            // per-thread op streams, so there is nothing a per-thread
-            // recorder could capture; `trace::record` rejects these
-            // selectors before getting here.
+            WorkloadSel::Bench(b) => generate(*b, params),
+            WorkloadSel::Gen(g) => generate_gen(g, params),
             WorkloadSel::Contended(c) => generate_contended(c, params),
         }
     }

@@ -39,7 +39,6 @@ pub mod stringswap;
 pub use contended::{generate_contended, ContendedKind, ContendedSpec, LockGroup, SharingPlan};
 pub use mem::{durable_transaction, CollectMem, DirectMem, EmitMem, Mem, NodeAlloc};
 pub use spec::{
-    build_thread_structures, emit_op_group, generate, generate_with, lock_base_for,
-    op_struct_index, run_op, thread_alloc, thread_arena, Benchmark, GeneratedWorkload, OpRecorder,
-    OpSpec, Structures, ThreadStructures, WorkloadParams,
+    emit_op_group, generate, lock_base_for, op_struct_index, run_op, thread_alloc, thread_arena,
+    Benchmark, GeneratedWorkload, OpSpec, Structures, WorkloadParams,
 };

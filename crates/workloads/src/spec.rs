@@ -16,7 +16,7 @@ use crate::queue::Queue;
 use crate::rbtree::RbTree;
 use crate::stringswap::StringArray;
 use proteus_core::pmem::WordImage;
-use proteus_core::program::Program;
+use proteus_core::program::{Op, Program};
 use proteus_types::rng::Xoshiro256;
 use proteus_types::{Addr, FieldHasher, StableHash, StableHasher, ThreadId};
 
@@ -198,13 +198,77 @@ impl GeneratedWorkload {
     pub fn total_transactions(&self) -> u64 {
         self.programs.iter().map(Program::transaction_count).sum()
     }
+
+    /// Stable digest of what the workload runs: every thread's program,
+    /// op by op, and every nonzero word of the initial image, in address
+    /// order. Two workloads with the same digest run identically under
+    /// every scheme, so a saved workload stores its selector and params
+    /// plus this digest, and loading it regenerates and compares.
+    pub fn digest(&self) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(self.programs.len() as u64);
+        for p in &self.programs {
+            h.write_u64(p.thread.index() as u64);
+            h.write_u64(p.ops.len() as u64);
+            for op in &p.ops {
+                hash_op(&mut h, op);
+            }
+        }
+        let words = self.initial_image.diff(&WordImage::new());
+        h.write_u64(words.len() as u64);
+        for addr in words {
+            h.write_u64(addr.raw());
+            h.write_u64(self.initial_image.read_word(addr));
+        }
+        h.finish()
+    }
+}
+
+fn hash_op(h: &mut StableHasher, op: &Op) {
+    match op {
+        Op::Read(a) => {
+            h.write_u8(1);
+            h.write_u64(a.raw());
+        }
+        Op::ReadDep(a) => {
+            h.write_u8(2);
+            h.write_u64(a.raw());
+        }
+        Op::Write(a, v) => {
+            h.write_u8(3);
+            h.write_u64(a.raw());
+            h.write_u64(*v);
+        }
+        Op::Compute(latency) => {
+            h.write_u8(4);
+            h.write_u8(*latency);
+        }
+        Op::TxBegin { undo_hint } => {
+            h.write_u8(5);
+            h.write_u64(undo_hint.len() as u64);
+            for a in undo_hint {
+                h.write_u64(a.raw());
+            }
+        }
+        Op::TxEnd => h.write_u8(6),
+        Op::LockWait { addr, ticket, external } => {
+            h.write_u8(7);
+            h.write_u64(addr.raw());
+            h.write_u64(*ticket);
+            h.write_u64(external.len() as u64);
+            for (a, v) in external {
+                h.write_u64(a.raw());
+                h.write_u64(*v);
+            }
+        }
+    }
 }
 
 /// The per-thread data structures an operation stream runs against.
 ///
-/// Public so the trace replayer (`proteus-workgen`) can rebuild a
-/// thread's structures from a trace header and feed recorded
-/// [`OpSpec`]s back through [`run_op`] / [`emit_op_group`].
+/// Public so the generator in `proteus-workgen` builds its structures
+/// here and feeds its drawn [`OpSpec`]s through [`run_op`] and
+/// [`emit_op_group`], the path Table 2 generation takes.
 #[derive(Debug, Clone)]
 pub enum Structures {
     /// Linked-list queues (QE).
@@ -223,10 +287,10 @@ pub enum Structures {
     BigList(BigNodeList),
 }
 
-/// One structure operation, the unit recorded in op traces.
+/// One structure operation, the unit every generator draws.
 ///
 /// The structure index `s` selects among the thread's own structures;
-/// keys and values are plain integers so specs serialize compactly.
+/// keys and values are plain integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // fields are explained in each variant's doc line
 pub enum OpSpec {
@@ -429,23 +493,20 @@ pub fn lock_base_for(t: usize) -> Addr {
 /// One thread's freshly created structures plus the derived generation
 /// bounds the op stream draws from.
 #[derive(Debug)]
-pub struct ThreadStructures {
-    /// The structures themselves.
-    pub structures: Structures,
+struct ThreadStructures {
+    structures: Structures,
     /// Structures owned by this thread.
-    pub per_thread: usize,
+    per_thread: usize,
     /// Key universe for map/tree operations.
-    pub key_range: u64,
+    key_range: u64,
     /// String-array item count (SS only, 0 otherwise).
-    pub items: u64,
+    items: u64,
     /// Big-node count (LT only, 0 otherwise).
-    pub big_nodes: u64,
+    big_nodes: u64,
 }
 
-/// Creates one thread's structures in `image` via `alloc`, exactly as
-/// [`generate`] does — the replayer uses this to rebuild a trace's
-/// initial state byte-identically.
-pub fn build_thread_structures(
+/// Creates one thread's structures in `image` via `alloc`.
+fn build_thread_structures(
     bench: Benchmark,
     params: &WorkloadParams,
     image: &mut WordImage,
@@ -495,22 +556,6 @@ pub fn build_thread_structures(
         }
     };
     ThreadStructures { structures, per_thread, key_range, items, big_nodes }
-}
-
-/// Observes the op stream as [`generate_with`] draws it — the hook the
-/// trace recorder uses to capture workloads without perturbing them.
-pub trait OpRecorder {
-    /// A fast-forwarded initialisation op applied to thread `t`.
-    fn record_init(&mut self, t: usize, op: OpSpec);
-    /// One emitted operation group for thread `t` (Table 2 groups hold
-    /// a single op; generated workloads may batch several per tx).
-    fn record_group(&mut self, t: usize, ops: &[OpSpec]);
-}
-
-/// The no-op recorder plain [`generate`] uses.
-impl OpRecorder for () {
-    fn record_init(&mut self, _t: usize, _op: OpSpec) {}
-    fn record_group(&mut self, _t: usize, _ops: &[OpSpec]) {}
 }
 
 /// Emits one operation group into `program`, mutating `image`.
@@ -594,17 +639,6 @@ pub fn emit_op_group(
 /// Panics if a thread's 64 MiB node arena is exhausted (reduce the op
 /// counts) or if generation produces an invalid program (a bug).
 pub fn generate(bench: Benchmark, params: &WorkloadParams) -> GeneratedWorkload {
-    generate_with(bench, params, &mut ())
-}
-
-/// [`generate`] with an [`OpRecorder`] observing every drawn op — the
-/// entry point trace recording uses. `generate_with(b, p, &mut ())` is
-/// exactly `generate(b, p)`.
-pub fn generate_with(
-    bench: Benchmark,
-    params: &WorkloadParams,
-    rec: &mut impl OpRecorder,
-) -> GeneratedWorkload {
     assert!(params.threads > 0, "need at least one thread");
     let mut image = WordImage::new();
     let mut programs = Vec::with_capacity(params.threads);
@@ -618,7 +652,6 @@ pub fn generate_with(
         // Fast-forwarded initialisation.
         for _ in 0..params.init_ops {
             let op = pick_op(bench, ts.per_thread, ts.key_range, ts.items, ts.big_nodes, &mut rng);
-            rec.record_init(t, op);
             let mut m = DirectMem::new(&mut image);
             run_op(&mut m, &mut alloc, &ts.structures, op);
         }
@@ -629,7 +662,6 @@ pub fn generate_with(
         let mut program = Program::new(ThreadId::new(t as u32));
         for _ in 0..params.sim_ops {
             let op = pick_op(bench, ts.per_thread, ts.key_range, ts.items, ts.big_nodes, &mut rng);
-            rec.record_group(t, &[op]);
             emit_op_group(&mut image, &mut program, &mut alloc, &ts.structures, &[op], lock_base);
         }
         program.validate().expect("generated program must validate");
@@ -647,7 +679,6 @@ pub fn generate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proteus_core::program::Op;
 
     fn small(bench: Benchmark) -> GeneratedWorkload {
         let params = WorkloadParams { threads: 2, init_ops: 200, sim_ops: 50, seed: 42 };
@@ -673,6 +704,34 @@ mod tests {
         let b = small(Benchmark::RbTree);
         assert_eq!(a.programs, b.programs);
         assert_eq!(a.initial_image, b.initial_image);
+    }
+
+    #[test]
+    fn digest_sees_every_program_op_and_image_word() {
+        let w = small(Benchmark::Queue);
+        let base = w.digest();
+        assert_eq!(base, small(Benchmark::Queue).digest(), "generation is deterministic");
+        let mut edits: Vec<GeneratedWorkload> = Vec::new();
+        let mut t = w.clone();
+        let last = t.programs[1].ops.len() - 1;
+        t.programs[1].ops[last] = Op::Compute(1);
+        edits.push(t);
+        let mut t = w.clone();
+        t.programs[0].ops.pop();
+        edits.push(t);
+        let mut t = w.clone();
+        t.programs.swap(0, 1);
+        edits.push(t);
+        let addr = w.initial_image.diff(&WordImage::new())[0];
+        let mut t = w.clone();
+        t.initial_image.write_word(addr, w.initial_image.read_word(addr) + 1);
+        edits.push(t);
+        let mut t = w.clone();
+        t.initial_image.write_word(Addr::new(0x0F00_0000), 1);
+        edits.push(t);
+        for (i, t) in edits.iter().enumerate() {
+            assert_ne!(t.digest(), base, "edit {i} went unseen");
+        }
     }
 
     #[test]

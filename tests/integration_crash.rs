@@ -81,18 +81,6 @@ fn prefix_only_adr_drain_is_detected() {
 }
 
 #[test]
-fn dropped_in_flight_requests_are_already_the_clean_model() {
-    // Acceptance is the durability ack; unaccepted requests are always
-    // lost. The DroppedInFlight fault must therefore change nothing.
-    let base = ExploreSpec::new(Benchmark::Queue, small_params(1), LoggingSchemeKind::Atom, 32);
-    let dropped = ExploreSpec { fault: FaultSpec::DroppedInFlight, ..base.clone() };
-    let a = explore(&base).unwrap();
-    let b = explore(&dropped).unwrap();
-    assert_eq!(a.total_events, b.total_events);
-    assert!(a.is_consistent() && b.is_consistent());
-}
-
-#[test]
 fn broken_persist_ordering_is_caught_shrunk_and_replayed() {
     // The deliberately broken core: stores release before their log
     // entry is durable, and ready log flushes are buffered until the

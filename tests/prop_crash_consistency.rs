@@ -33,12 +33,11 @@ fn arb_scheme(g: &mut Gen) -> LoggingSchemeKind {
 
 fn arb_fault(g: &mut Gen) -> FaultSpec {
     // Only consistency-preserving faults: torn in-service lines are
-    // masked by the ADR drain, dropped in-flight requests are the clean
-    // model by construction.
-    match g.range(0..3) {
-        0 => FaultSpec::Clean,
-        1 => FaultSpec::TornLine { mask: g.range(1..256) as u8 },
-        _ => FaultSpec::DroppedInFlight,
+    // masked by the ADR drain.
+    if g.bool() {
+        FaultSpec::Clean
+    } else {
+        FaultSpec::TornLine { mask: g.range(1..256) as u8 }
     }
 }
 

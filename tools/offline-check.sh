@@ -73,18 +73,35 @@ do_test() {
     # crashes, and the broken-ordering core is caught, shrunk and
     # replayed.
     run cargo run -q --release -p proteus-crash --example crash_recovery
-    # Smoke the op-trace pipeline end to end: record a generated preset
-    # to a trace file, then replay it — `replay` exits non-zero unless
-    # the replayed workload and every scheme's RunSummary are
-    # byte-identical to regenerating from the trace header.
-    run cargo run -q --release -p proteus-bench --bin reproduce -- \
-        gen --workload indexer --scale 0.01 --file "${OUT}/smoke_optrace.jsonl"
-    [[ -s "${OUT}/smoke_optrace.jsonl" ]] || {
-        echo "gen smoke produced an empty op trace" >&2
-        exit 1
-    }
-    run cargo run -q --release -p proteus-bench --bin reproduce -- \
-        replay --file "${OUT}/smoke_optrace.jsonl"
+    # Smoke the workload file end to end on a generated preset and a
+    # contended row: `gen --file` saves the workload (its selector,
+    # params and digest) and `replay` regenerates it and runs every
+    # scheme, exiting non-zero unless the digest matches. A copy whose
+    # params were edited must fail with the digest message.
+    local workload saved edited="${OUT}/smoke_workload_edited.json"
+    for workload in indexer mq; do
+        saved="${OUT}/smoke_workload_${workload}.json"
+        run cargo run -q --release -p proteus-bench --bin reproduce -- \
+            gen --workload "$workload" --scale 0.01 --file "$saved"
+        [[ -s "$saved" ]] || {
+            echo "gen smoke saved an empty workload file for ${workload}" >&2
+            exit 1
+        }
+        run cargo run -q --release -p proteus-bench --bin reproduce -- \
+            replay --file "$saved"
+        sed 's/"sim_ops":/"sim_ops":1/' "$saved" >"$edited"
+        echo "+ reproduce replay --file ${edited} (${workload}, params edited; must fail)" >&2
+        if cargo run -q --release -p proteus-bench --bin reproduce -- \
+            replay --file "$edited" 2>"${edited}.err"; then
+            echo "replay smoke: an edited ${workload} workload file ran" >&2
+            exit 1
+        fi
+        grep -q "digest mismatch" "${edited}.err" || {
+            cat "${edited}.err" >&2
+            echo "replay smoke: the edited ${workload} file failed without the digest message" >&2
+            exit 1
+        }
+    done
     # Smoke `--resume` end to end: run a small figure twice against one
     # ledger. The first run must execute jobs (per-job `[harness i/n]`
     # lines on stderr); the second must execute none and print
