@@ -58,6 +58,8 @@
 #       workgen pin (preset selector hashes and workload digests,
 #       every preset on every scheme, a generated-preset crashsweep
 #       smoke)
+#   RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps (every
+#       intra-doc link resolves, none is ambiguous or private)
 #   cargo fmt --check
 #   cargo clippy --workspace --all-targets -- -D warnings
 set -euo pipefail

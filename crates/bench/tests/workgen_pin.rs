@@ -38,12 +38,12 @@ const PRESET_SEL_HASHES: &[(&str, u64)] = &[
 /// `params(2, 0.002)`, in roster order, with whether generation is
 /// skew-free (pinned unconditionally) or zipfian (fingerprint-gated).
 const PRESET_DIGESTS: &[(&str, bool, u64)] = &[
-    ("ycsb-a", false, 0x4636_5b7a_0a81_ef4e),
-    ("ycsb-b", false, 0x1605_b4e3_a3ac_0f10),
+    ("ycsb-a", false, 0x4d79_367d_a9e2_21c7),
+    ("ycsb-b", false, 0x2a5c_d0f5_76c0_df26),
     ("ycsb-c", false, 0xb584_efa2_8248_55d9),
-    ("scan-heavy", true, 0x1a70_4cca_439e_9a77),
-    ("indexer", true, 0x873e_07a5_2c95_0906),
-    ("million-key", false, 0xff35_839f_806a_e160),
+    ("scan-heavy", true, 0xef10_2fd4_8d6d_9a24),
+    ("indexer", true, 0x799e_6526_9dc7_c4d1),
+    ("million-key", false, 0x5ed9_b10f_c209_c983),
 ];
 
 const PIN_SCALE: f64 = 0.002;

@@ -85,29 +85,6 @@ impl LogEntry {
         })
     }
 
-    /// Encodes the entry to its 64-byte wire representation
-    /// (little-endian words).
-    pub fn encode_bytes(&self) -> [u8; 64] {
-        let mut bytes = [0u8; 64];
-        for (chunk, word) in bytes.chunks_exact_mut(8).zip(self.encode_words()) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        bytes
-    }
-
-    /// Decodes an entry from a 64-byte buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is shorter than 64 bytes.
-    pub fn decode_bytes(bytes: &[u8]) -> Option<LogEntry> {
-        assert!(bytes.len() >= 64, "log entry requires 64 bytes");
-        let words: [u64; 8] = std::array::from_fn(|i| {
-            u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8-byte word"))
-        });
-        Self::decode_words(&words)
-    }
-
     /// Writes the entry into `image` at log slot address `slot`
     /// (line-aligned).
     ///
@@ -148,25 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_roundtrip() {
-        let e = sample();
-        let bytes = e.encode_bytes();
-        assert_eq!(LogEntry::decode_bytes(&bytes), Some(e));
-        // Word 4 (log-from address) sits at bytes 32..40, little-endian.
-        assert_eq!(bytes[32..40], 0x1000_0020u64.to_le_bytes());
-        assert_eq!(bytes[48], FLAG_VALID as u8);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires 64 bytes")]
-    fn short_byte_buffer_rejected() {
-        let _ = LogEntry::decode_bytes(&[0u8; 63]);
-    }
-
-    #[test]
     fn empty_slot_decodes_none() {
         assert_eq!(LogEntry::decode_words(&[0; 8]), None);
-        assert_eq!(LogEntry::decode_bytes(&[0u8; 64]), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   exactly as in Fig. 4.
 //! * [`LoggingSchemeKind::Incll`] — in-cache-line logging: the undo
 //!   entry is co-located in the mutated line, with an external-entry
-//!   fallback (see [`mod@incll`]'s module docs).
+//!   fallback (see the private `incll` module's docs).
 //!
 //! Dispatch is table-driven: every per-scheme behaviour lives in one
 //! [`registry::SchemeDescriptor`] row, and [`expand_program_with`] simply

@@ -36,14 +36,6 @@ fn log_entry_word_roundtrip() {
 }
 
 #[test]
-fn log_entry_byte_roundtrip() {
-    check("log_entry_byte_roundtrip", 256, arb_entry, |entry| {
-        let bytes = entry.encode_bytes();
-        assert_eq!(LogEntry::decode_bytes(&bytes), Some(entry));
-    });
-}
-
-#[test]
 fn word_image_behaves_like_a_map() {
     let ops = |g: &mut Gen| g.vec(1..200, |g| (g.range(0..2048), g.u64(), g.bool()));
     check("word_image_behaves_like_a_map", 256, ops, |ops| {

@@ -17,11 +17,11 @@
 //!   one judgement.
 //! * [`fault`] — crash fault models beyond the clean ADR drain: torn
 //!   64-byte line writes and prefix-only battery drains.
-//! * [`explore`] — the crash-point engine: crash points are persist-event
+//! * [`explore`](mod@explore) — the crash-point engine: crash points are persist-event
 //!   indices (every durable acceptance, drain, clear, and marker stamp in
 //!   the memory controller), explored exhaustively for small executions
 //!   and via seeded stratified sampling for large ones.
-//! * [`sweep`] — fan-out of exploration jobs through `proteus-harness`
+//! * [`sweep`](mod@sweep) — fan-out of exploration jobs through `proteus-harness`
 //!   (worker pool, panic isolation, resumable ledger).
 //! * [`repro`] — shrinking of violations to a minimal workload + crash
 //!   point, saved as a replayable JSON artifact.

@@ -602,16 +602,16 @@ impl MemoryController {
     fn persist_event(&mut self, kind: PersistEventKind) {
         self.persist_seq += 1;
         if self.tracer.is_enabled() {
-            // A WPQ or LPQ insert or drain is on the trace once, as the
-            // queue's `Enqueue`/`Dequeue` counter its site stamps; only
-            // a coalescing WPQ accept, which changes no occupancy, is an
-            // instant (emitted by `insert_wpq`).
+            // A WPQ or LPQ insert, drain or log clear is on the trace
+            // once, as the queue's `Enqueue`/`Dequeue` counter its site
+            // stamps; only a coalescing WPQ accept, which changes no
+            // occupancy, is an instant (emitted by `insert_wpq`).
             let mapped = match kind {
                 PersistEventKind::WpqAccept { .. }
                 | PersistEventKind::WpqDrain { .. }
                 | PersistEventKind::LpqAccept { .. }
-                | PersistEventKind::LpqDrain { .. } => None,
-                PersistEventKind::LogClear { .. } => Some(PersistKind::LogClear),
+                | PersistEventKind::LpqDrain { .. }
+                | PersistEventKind::LogClear { .. } => None,
                 PersistEventKind::MarkerStamp { .. } => Some(PersistKind::MarkerStamp),
                 PersistEventKind::MarkerDrop { .. } => Some(PersistKind::MarkerDrop),
             };
@@ -1208,6 +1208,7 @@ impl MemoryController {
             // still buffered; entries that already drained to NVMM must
             // be invalidated manually one by one (a read plus a write
             // each).
+            let wpq_before = self.wpq.len();
             for slot in slots {
                 if slot == last.slot_line {
                     continue;
@@ -1231,6 +1232,15 @@ impl MemoryController {
                     self.stats.nvmm_reads += 1;
                     self.pending_writes.push_back((slot, [0; 8]));
                 }
+            }
+            if self.wpq.len() < wpq_before {
+                self.tracer.emit(
+                    self.clock,
+                    TraceEventKind::Dequeue {
+                        queue: QueueId::Wpq,
+                        occupancy: self.wpq.len() as u32,
+                    },
+                );
             }
             return;
         }

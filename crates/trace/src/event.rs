@@ -82,11 +82,9 @@ impl QueueId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PersistKind {
     /// A write became durable by coalescing onto a pending WPQ entry (ADR
-    /// domain). Every other WPQ or LPQ accept and drain shows as the
-    /// queue's `Enqueue`/`Dequeue` counter instead.
+    /// domain). Every other WPQ or LPQ accept, drain and log clear shows
+    /// as the queue's `Enqueue`/`Dequeue` counter instead.
     WpqCoalesce,
-    /// Commit-time flash clear dropped queue-resident log entries.
-    LogClear,
     /// A commit marker was stamped onto a queue-resident log entry.
     MarkerStamp,
     /// A retained commit marker was dropped (§4.3).
@@ -98,7 +96,6 @@ impl PersistKind {
     pub fn label(self) -> &'static str {
         match self {
             PersistKind::WpqCoalesce => "wpq-coalesce",
-            PersistKind::LogClear => "log-clear",
             PersistKind::MarkerStamp => "marker-stamp",
             PersistKind::MarkerDrop => "marker-drop",
         }
@@ -260,7 +257,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(QueueId::Lpq.label(), "lpq");
-        assert_eq!(PersistKind::LogClear.label(), "log-clear");
         assert_eq!(CacheLevel::L1d.label(), "l1d");
     }
 }

@@ -1,6 +1,5 @@
 //! Simulator error type.
 
-use crate::addr::Addr;
 use crate::ids::{CoreId, ThreadId};
 use std::error::Error;
 use std::fmt;
@@ -35,9 +34,6 @@ pub enum SimError {
         /// The offending core.
         core: CoreId,
     },
-    /// An access touched an address outside every mapped region when a
-    /// mapping was required.
-    UnmappedAddress(Addr),
     /// Recovery found a corrupt or inconsistent log image.
     CorruptLog(String),
     /// The workload asked for more threads than the system has cores,
@@ -83,7 +79,6 @@ impl fmt::Display for SimError {
             SimError::UnmatchedTxEnd { core } => {
                 write!(f, "tx-end without open transaction on {core}")
             }
-            SimError::UnmappedAddress(addr) => write!(f, "access to unmapped address {addr}"),
             SimError::CorruptLog(msg) => write!(f, "corrupt log image: {msg}"),
             SimError::TooManyThreads { requested, available } => {
                 write!(f, "workload requested {requested} threads but the machine runs at most {available}")
@@ -117,8 +112,9 @@ mod tests {
     fn error_trait_object_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SimError>();
-        let boxed: Box<dyn Error + Send + Sync> = Box::new(SimError::UnmappedAddress(Addr::new(4)));
-        assert!(boxed.to_string().contains("0x4"));
+        let boxed: Box<dyn Error + Send + Sync> =
+            Box::new(SimError::TooManyThreads { requested: 8, available: 4 });
+        assert!(boxed.to_string().contains("at most 4"));
     }
 
     #[test]

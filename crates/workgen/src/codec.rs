@@ -1,12 +1,12 @@
 //! JSON codecs for selectors, gen specs and params, and the saved
 //! workload file.
 //!
-//! ## Workload file format (version 1)
+//! ## Workload file format (version 2)
 //!
 //! One line:
 //!
 //! ```json
-//! {"magic":"proteus-workload","version":1,"sel":{...},"params":{...},
+//! {"magic":"proteus-workload","version":2,"sel":{...},"params":{...},
 //!  "digest":"0123456789abcdef"}
 //! ```
 //!
@@ -32,8 +32,10 @@ use proteus_workloads::{
 /// Magic string identifying a workload file.
 pub const WORKLOAD_MAGIC: &str = "proteus-workload";
 
-/// Current workload file format version.
-pub const WORKLOAD_VERSION: u64 = 1;
+/// Current workload file format version. Version 1 files digested an
+/// initial image that already held the simulated ops' writes; since
+/// version 2 it is the post-initialisation state.
+pub const WORKLOAD_VERSION: u64 = 2;
 
 /// Encodes a workload selector. `Bench` keeps the historical
 /// `Benchmark` encoding byte-for-byte (`{"kind":"QE"}`, `LargeTx` with
@@ -353,10 +355,14 @@ mod tests {
         // Wrong magic.
         let bad_magic = text.replacen(WORKLOAD_MAGIC, "not-a-workload", 1);
         assert!(format!("{}", workload_from_str(&bad_magic).unwrap_err()).contains("magic"));
-        // Unsupported version.
-        let bad_version = text.replacen("\"version\":1", "\"version\":99", 1);
-        let err = workload_from_str(&bad_version).unwrap_err();
-        assert!(format!("{err}").contains("version"), "{err}");
+        // Unsupported versions, the older format among them.
+        let current = format!("\"version\":{WORKLOAD_VERSION}");
+        assert!(text.contains(&current));
+        for v in [1, 99] {
+            let bad_version = text.replacen(&current, &format!("\"version\":{v}"), 1);
+            let err = workload_from_str(&bad_version).unwrap_err();
+            assert!(format!("{err}").contains("version"), "{err}");
+        }
         // Unparsable line.
         let mut broken = text.clone();
         broken.replace_range(0..1, "X");

@@ -345,40 +345,51 @@ pub fn generate_gen(spec: &GenSpec, params: &WorkloadParams) -> GeneratedWorkloa
     };
 
     let mut image = WordImage::new();
-    let mut programs = Vec::with_capacity(params.threads);
-    for t in 0..params.threads {
-        let mut alloc = thread_alloc(t);
-        let mut rng = SplitMix64::new(params.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-
-        let structures = build_gen_structures(spec, &mut image, &mut alloc);
-
-        for _ in 0..params.init_ops {
-            let op = draw_init_op(spec, key_range, &mut rng);
-            let mut m = DirectMem::new(&mut image);
-            run_op(&mut m, &mut alloc, &structures, op);
-        }
-
-        let lock_base = lock_base_for(t);
-        let mut program = Program::new(ThreadId::new(t as u32));
-        let mut remaining = params.sim_ops;
-        let mut group = Vec::with_capacity(spec.tx_ops as usize);
-        while remaining > 0 {
-            let k = remaining.min(spec.tx_ops as usize);
-            group.clear();
-            for _ in 0..k {
-                group.push(draw_sim_op(spec, key_range, zipf.as_ref(), &mut rng));
+    // Every thread's structures, fast-forwarded through the load phase.
+    // Threads touch only their own arenas, so initialising them all
+    // before any emits leaves every op as it was, and the image taken
+    // in between is the post-initialisation state.
+    let mut threads: Vec<_> = (0..params.threads)
+        .map(|t| {
+            let mut alloc = thread_alloc(t);
+            let mut rng =
+                SplitMix64::new(params.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let structures = build_gen_structures(spec, &mut image, &mut alloc);
+            for _ in 0..params.init_ops {
+                let op = draw_init_op(spec, key_range, &mut rng);
+                run_op(&mut DirectMem::new(&mut image), &mut alloc, &structures, op);
             }
-            emit_op_group(&mut image, &mut program, &mut alloc, &structures, &group, lock_base);
-            remaining -= k;
-        }
-        program.validate().expect("generated program must validate");
-        programs.push(program);
-    }
+            (structures, alloc, rng)
+        })
+        .collect();
+    let initial_image = image.clone();
+
+    let programs = threads
+        .iter_mut()
+        .enumerate()
+        .map(|(t, (structures, alloc, rng))| {
+            let lock_base = lock_base_for(t);
+            let mut program = Program::new(ThreadId::new(t as u32));
+            let mut remaining = params.sim_ops;
+            let mut group = Vec::with_capacity(spec.tx_ops as usize);
+            while remaining > 0 {
+                let k = remaining.min(spec.tx_ops as usize);
+                group.clear();
+                for _ in 0..k {
+                    group.push(draw_sim_op(spec, key_range, zipf.as_ref(), rng));
+                }
+                emit_op_group(&mut image, &mut program, alloc, structures, &group, lock_base);
+                remaining -= k;
+            }
+            program.validate().expect("generated program must validate");
+            program
+        })
+        .collect();
 
     GeneratedWorkload {
         name: format!("{}x{}", spec.name, params.threads),
         programs,
-        initial_image: image,
+        initial_image,
         sharing: None,
     }
 }

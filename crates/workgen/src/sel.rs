@@ -118,6 +118,7 @@ impl WorkloadSel {
 mod tests {
     use super::*;
     use crate::gen::{GenStructure, OpMix, Skew};
+    use proteus_core::program::Op;
     use proteus_types::stable_hash_value;
 
     fn gen_spec() -> GenSpec {
@@ -219,6 +220,30 @@ mod tests {
             early_release: true,
         });
         assert_eq!(faulty.abbrev(), "MQ!");
+    }
+
+    #[test]
+    fn initial_image_is_the_post_initialisation_state() {
+        // Under one seed the initialisation is the same whatever the
+        // simulated op count, so the image the machine starts from must
+        // be too: none of the simulated ops' writes may leak into it.
+        for name in ["qe", "indexer", "mq"] {
+            let sel = crate::roster::by_cli_name(name).expect("roster row").sel();
+            let params = |sim_ops| WorkloadParams { threads: 2, init_ops: 40, sim_ops, seed: 11 };
+            let (one, eight) = (sel.generate(&params(1)), sel.generate(&params(8)));
+            assert_eq!(one.initial_image, eight.initial_image, "{name}");
+            let mut in_tx = false;
+            let changing_writes = eight.programs.iter().flat_map(|p| &p.ops).filter(|op| {
+                match op {
+                    Op::TxBegin { .. } => in_tx = true,
+                    Op::TxEnd => in_tx = false,
+                    Op::Write(a, v) => return in_tx && eight.initial_image.read_word(*a) != *v,
+                    _ => {}
+                }
+                false
+            });
+            assert!(changing_writes.count() > 0, "{name}: the simulated ops write nothing new");
+        }
     }
 
     #[test]

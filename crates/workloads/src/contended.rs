@@ -41,10 +41,10 @@
 
 use crate::btree::BTree;
 use crate::hashmap::HashMapStruct;
-use crate::mem::{CollectMem, DirectMem, EmitMem, NodeAlloc};
+use crate::mem::{durable_transaction, DirectMem, NodeAlloc};
 use crate::queue::Queue;
 use crate::spec::{
-    op_struct_index, run_op, GeneratedWorkload, OpSpec, Structures, WorkloadParams,
+    emit_app_work, op_struct_index, run_op, GeneratedWorkload, OpSpec, Structures, WorkloadParams,
     APP_OVERHEAD_CYCLES,
 };
 use proteus_core::pmem::WordImage;
@@ -256,9 +256,9 @@ pub fn generate_contended(spec: &ContendedSpec, params: &WorkloadParams) -> Gene
     // Fast-forwarded initialisation, applied globally.
     for _ in 0..params.init_ops {
         let op = pick_contended_op(kind, key_range, &mut rng);
-        let mut m = DirectMem::new(&mut image);
-        run_op(&mut m, &mut alloc, &structures, op);
+        run_op(&mut DirectMem::new(&mut image), &mut alloc, &structures, op);
     }
+    let initial_image = image.clone();
 
     // Global schedule: each thread appears `sim_ops` times, order
     // shuffled (Fisher-Yates over the slot multiset).
@@ -319,21 +319,7 @@ pub fn generate_contended(spec: &ContendedSpec, params: &WorkloadParams) -> Gene
         let ticket = next_ticket[s] - 1;
 
         // Application preamble, as in the single-owner emitter.
-        let mut remaining = APP_OVERHEAD_CYCLES;
-        while remaining > 0 {
-            let chunk = remaining.min(200) as u8;
-            program.compute(chunk);
-            remaining -= chunk as u32;
-        }
-
-        // Conservative undo hint from a dry run against the current
-        // global image.
-        let hint_nodes = {
-            let mut c = CollectMem::new(&image);
-            let mut scratch = alloc.clone();
-            run_op(&mut c, &mut scratch, &structures, op);
-            c.hint()
-        };
+        emit_app_work(program, APP_OVERHEAD_CYCLES);
 
         if spec.early_release {
             // Fault injection: hand the lock over before the group is
@@ -344,22 +330,13 @@ pub fn generate_contended(spec: &ContendedSpec, params: &WorkloadParams) -> Gene
             // (whose preamble is already behind it) would still win the
             // commit race and the fault would never bite.
             program.write(data_locks[s], ticket + 1);
-            let mut stall = 4 * APP_OVERHEAD_CYCLES;
-            while stall > 0 {
-                let chunk = stall.min(200) as u8;
-                program.compute(chunk);
-                stall -= chunk as u32;
-            }
+            emit_app_work(program, 4 * APP_OVERHEAD_CYCLES);
         }
 
         let body_start = program.ops.len();
-        let hint: Vec<Addr> = hint_nodes.iter().flat_map(|n| [*n, n.offset(32)]).collect();
-        program.tx_begin(hint);
-        {
-            let mut e = EmitMem::new(&mut image, program);
-            run_op(&mut e, &mut alloc, &structures, op);
-        }
-        program.tx_end();
+        durable_transaction(&mut image, program, |mem| {
+            run_op(mem, &mut alloc, &structures, op);
+        });
 
         // The group's committed writes, straight from the emitted ops.
         let writes: Vec<(Addr, u64)> = program.ops[body_start..]
@@ -385,7 +362,7 @@ pub fn generate_contended(spec: &ContendedSpec, params: &WorkloadParams) -> Gene
     GeneratedWorkload {
         name: format!("{}x{}", spec.label(), params.threads),
         programs,
-        initial_image: image,
+        initial_image,
         sharing: Some(SharingPlan {
             locks: data_locks,
             aux_locks,

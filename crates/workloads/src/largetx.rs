@@ -90,8 +90,10 @@ impl BigNodeList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::{CollectMem, DirectMem};
+    use crate::mem::{durable_transaction, DirectMem};
     use proteus_core::pmem::WordImage;
+    use proteus_core::program::{Op, Program};
+    use proteus_types::ThreadId;
 
     #[test]
     fn update_touches_every_element() {
@@ -114,9 +116,11 @@ mod tests {
             let mut m = DirectMem::new(&mut img);
             BigNodeList::create(&mut m, &mut alloc, 2, 1024)
         };
-        let mut c = CollectMem::new(&img);
-        list.update_node(&mut c, 1, 7);
-        // 1024 elements * 8 B = 8 KiB = 128 lines hinted.
-        assert_eq!(c.hint().len(), 128);
+        let mut program = Program::new(ThreadId::new(0));
+        durable_transaction(&mut img, &mut program, |m| list.update_node(m, 1, 7));
+        // 1024 elements * 8 B = 8 KiB = 128 lines, two grains each.
+        let Op::TxBegin { undo_hint } = &program.ops[0] else { panic!("tx_begin first") };
+        assert_eq!(undo_hint.len(), 2 * 128);
+        program.validate().unwrap();
     }
 }

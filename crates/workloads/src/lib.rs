@@ -37,7 +37,7 @@ pub mod spec;
 pub mod stringswap;
 
 pub use contended::{generate_contended, ContendedKind, ContendedSpec, LockGroup, SharingPlan};
-pub use mem::{durable_transaction, CollectMem, DirectMem, EmitMem, Mem, NodeAlloc};
+pub use mem::{durable_transaction, DirectMem, EmitMem, Mem, NodeAlloc};
 pub use spec::{
     emit_op_group, generate, lock_base_for, op_struct_index, run_op, thread_alloc, thread_arena,
     Benchmark, GeneratedWorkload, OpSpec, Structures, WorkloadParams,

@@ -1,43 +1,43 @@
 //! Memory access abstraction for workload generation.
 //!
 //! Data-structure operations are written once against the [`Mem`] trait
-//! and executed in three modes:
+//! and executed in two modes:
 //!
 //! * [`DirectMem`] — initialization fast-forward: reads and writes apply
 //!   straight to the image, emitting nothing;
-//! * [`CollectMem`] — dry run: reads see the base image overlaid with the
-//!   run's own writes; written and hinted node addresses are collected to
-//!   form the transaction's conservative undo hint;
-//! * [`EmitMem`] — the real run: every access appends an [`Op`] to the
-//!   thread's program and applies to the image.
+//! * [`EmitMem`] — the simulated run: every access appends an [`Op`] to
+//!   the thread's program and applies to the image, and every write and
+//!   [`Mem::hint_node`] records its 64-byte node.
 //!
-//! An operation must behave identically in the collect and emit runs
-//! (they start from the same image and allocator state), which is what
-//! lets the generator compute the undo hint *before* emitting
-//! `tx_begin` — mirroring how a programmer writes the conservative
-//! logging code the paper describes.
+//! Each operation runs once. An undo-logging transaction's log set is
+//! the nodes it writes plus the ones it declares it may write, so the
+//! nodes [`EmitMem`] records in first-touch order *are* the conservative
+//! undo hint: [`durable_transaction`] emits `tx_begin` with an empty
+//! hint, runs the body, and then fills that `tx_begin` in. The program
+//! reads as if the hint had been known up front, which is how a
+//! programmer writes the conservative logging code the paper describes.
 
 use proteus_core::pmem::WordImage;
 use proteus_core::program::{Op, Program};
-use proteus_types::Addr;
-use std::collections::{HashMap, HashSet};
+use proteus_types::{Addr, FastSet};
 
 /// Word-level memory interface used by data-structure operations.
 pub trait Mem {
     /// Reads the word at `addr`.
     fn read(&mut self, addr: Addr) -> u64;
     /// Reads a word whose address was produced by an earlier read
-    /// (pointer chasing). Emitting modes compile this to a dependent
-    /// load so traversals serialise like real hardware; other modes
-    /// treat it as [`Mem::read`].
+    /// (pointer chasing). [`EmitMem`] compiles this to a dependent load
+    /// so traversals serialise like real hardware; [`DirectMem`] treats
+    /// it as [`Mem::read`].
     fn read_dep(&mut self, addr: Addr) -> u64 {
         self.read(addr)
     }
     /// Writes `value` at `addr`.
     fn write(&mut self, addr: Addr, value: u64);
     /// Declares that the 64-byte node at `base` is on the operation's
-    /// path and may be modified (conservative undo hint). A no-op outside
-    /// collect mode.
+    /// path and may be modified (conservative undo hint). [`EmitMem`]
+    /// records it with the nodes the run writes; a no-op under
+    /// [`DirectMem`].
     fn hint_node(&mut self, base: Addr);
     /// Models `cycles` of non-memory work (key comparison, hashing).
     fn compute(&mut self, cycles: u8);
@@ -70,87 +70,28 @@ impl Mem for DirectMem<'_> {
     fn compute(&mut self, _cycles: u8) {}
 }
 
-/// Dry run collecting the write set and hinted nodes without touching the
-/// base image.
-#[derive(Debug)]
-pub struct CollectMem<'a> {
-    base: &'a WordImage,
-    delta: HashMap<u64, u64>,
-    written_nodes: HashSet<u64>,
-    hinted_nodes: HashSet<u64>,
-    order: Vec<Addr>,
-}
-
-impl<'a> CollectMem<'a> {
-    /// Starts a dry run over `base`.
-    pub fn new(base: &'a WordImage) -> Self {
-        CollectMem {
-            base,
-            delta: HashMap::new(),
-            written_nodes: HashSet::new(),
-            hinted_nodes: HashSet::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// The undo hint: every hinted or written node, as 64-byte node base
-    /// addresses in first-touch order.
-    pub fn hint(&self) -> Vec<Addr> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for a in &self.order {
-            if seen.insert(a.raw()) {
-                out.push(*a);
-            }
-        }
-        // Written nodes that were never explicitly hinted.
-        let mut extra: Vec<u64> = self
-            .written_nodes
-            .union(&self.hinted_nodes)
-            .copied()
-            .filter(|n| !seen.contains(n))
-            .collect();
-        extra.sort_unstable();
-        out.extend(extra.into_iter().map(Addr::new));
-        out
-    }
-}
-
-impl Mem for CollectMem<'_> {
-    fn read(&mut self, addr: Addr) -> u64 {
-        let w = addr.raw() / 8;
-        self.delta.get(&w).copied().unwrap_or_else(|| self.base.read_word(addr))
-    }
-
-    fn write(&mut self, addr: Addr, value: u64) {
-        self.delta.insert(addr.raw() / 8, value);
-        let node = addr.raw() & !63;
-        if self.written_nodes.insert(node) && !self.hinted_nodes.contains(&node) {
-            self.order.push(Addr::new(node));
-        }
-    }
-
-    fn hint_node(&mut self, base: Addr) {
-        let node = base.raw() & !63;
-        if self.hinted_nodes.insert(node) && !self.written_nodes.contains(&node) {
-            self.order.push(Addr::new(node));
-        }
-    }
-
-    fn compute(&mut self, _cycles: u8) {}
-}
-
-/// Emits program operations and applies them to the image.
+/// Emits program operations and applies them to the image, recording
+/// the nodes the run writes or hints.
 #[derive(Debug)]
 pub struct EmitMem<'a> {
     image: &'a mut WordImage,
     program: &'a mut Program,
+    /// Written or hinted 64-byte node bases, in first-touch order.
+    nodes: Vec<Addr>,
+    seen: FastSet<u64>,
 }
 
 impl<'a> EmitMem<'a> {
     /// Emits into `program`, applying to `image`.
     pub fn new(image: &'a mut WordImage, program: &'a mut Program) -> Self {
-        EmitMem { image, program }
+        EmitMem { image, program, nodes: Vec::new(), seen: FastSet::default() }
+    }
+
+    fn touch(&mut self, addr: Addr) {
+        let node = addr.raw() & !63;
+        if self.seen.insert(node) {
+            self.nodes.push(Addr::new(node));
+        }
     }
 }
 
@@ -168,44 +109,23 @@ impl Mem for EmitMem<'_> {
     fn write(&mut self, addr: Addr, value: u64) {
         self.program.ops.push(Op::Write(addr, value));
         self.image.write_word(addr, value);
+        self.touch(addr);
     }
 
-    fn hint_node(&mut self, _base: Addr) {}
+    fn hint_node(&mut self, base: Addr) {
+        self.touch(base);
+    }
 
     fn compute(&mut self, cycles: u8) {
         self.program.ops.push(Op::Compute(cycles));
     }
 }
 
-impl<'m> Mem for &mut (dyn Mem + 'm) {
-    fn read(&mut self, addr: Addr) -> u64 {
-        (**self).read(addr)
-    }
-
-    fn read_dep(&mut self, addr: Addr) -> u64 {
-        (**self).read_dep(addr)
-    }
-
-    fn write(&mut self, addr: Addr, value: u64) {
-        (**self).write(addr, value)
-    }
-
-    fn hint_node(&mut self, base: Addr) {
-        (**self).hint_node(base)
-    }
-
-    fn compute(&mut self, cycles: u8) {
-        (**self).compute(cycles)
-    }
-}
-
-/// Runs `op` as one durable transaction appended to `program`:
-/// a dry run over the current image computes the conservative undo hint,
-/// then the operation is emitted between `tx_begin`/`tx_end`.
-///
-/// The operation must be deterministic with respect to memory and
-/// allocator state (both runs start from identical state); all the data
-/// structures in this crate qualify.
+/// Runs `body` once as one durable transaction appended to `program`:
+/// `tx_begin`, the body through an [`EmitMem`] over `image`, `tx_end`.
+/// The `tx_begin`'s undo hint is filled in after the body ran: both
+/// 32-byte grains of every node the body wrote or hinted, in first-touch
+/// order.
 ///
 /// ```
 /// use proteus_core::pmem::WordImage;
@@ -221,8 +141,8 @@ impl<'m> Mem for &mut (dyn Mem + 'm) {
 ///     HashMapStruct::create(&mut m, &mut alloc, 16)
 /// };
 /// let mut program = Program::new(ThreadId::new(0));
-/// durable_transaction(&mut image, &mut program, &mut alloc, |mut mem, alloc| {
-///     map.insert(&mut mem, alloc, 7, 700);
+/// durable_transaction(&mut image, &mut program, |mem| {
+///     map.insert(mem, &mut alloc, 7, 700);
 /// });
 /// assert_eq!(program.transaction_count(), 1);
 /// program.validate().unwrap();
@@ -230,26 +150,21 @@ impl<'m> Mem for &mut (dyn Mem + 'm) {
 pub fn durable_transaction(
     image: &mut WordImage,
     program: &mut Program,
-    alloc: &mut NodeAlloc,
-    op: impl Fn(&mut (dyn Mem + '_), &mut NodeAlloc),
+    body: impl FnOnce(&mut EmitMem<'_>),
 ) {
-    let hint_nodes = {
-        let mut collect = CollectMem::new(image);
-        let mut scratch = alloc.clone();
-        op(&mut collect, &mut scratch);
-        collect.hint()
-    };
-    let hint: Vec<Addr> = hint_nodes.iter().flat_map(|n| [*n, n.offset(32)]).collect();
-    program.tx_begin(hint);
-    {
+    let begin = program.ops.len();
+    program.tx_begin(Vec::new());
+    let nodes = {
         let mut emit = EmitMem::new(image, program);
-        op(&mut emit, alloc);
-    }
+        body(&mut emit);
+        emit.nodes
+    };
+    let undo_hint = nodes.iter().flat_map(|n| [*n, n.offset(32)]).collect();
+    program.ops[begin] = Op::TxBegin { undo_hint };
     program.tx_end();
 }
 
-/// Deterministic bump allocator for 64-byte nodes. Cloned for the dry
-/// run so both passes see identical addresses.
+/// Deterministic bump allocator for 64-byte nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeAlloc {
     next: u64,
@@ -299,25 +214,23 @@ mod tests {
     }
 
     #[test]
-    fn collect_mem_overlays_without_mutating_base() {
-        let mut base = WordImage::new();
-        base.write_word(Addr::new(0x100), 1);
-        let mut c = CollectMem::new(&base);
-        assert_eq!(c.read(Addr::new(0x100)), 1);
-        c.write(Addr::new(0x100), 2);
-        assert_eq!(c.read(Addr::new(0x100)), 2, "read-your-writes");
-        assert_eq!(base.read_word(Addr::new(0x100)), 1, "base untouched");
-    }
-
-    #[test]
     fn collect_hint_includes_writes_and_hints_in_order() {
-        let base = WordImage::new();
-        let mut c = CollectMem::new(&base);
-        c.hint_node(Addr::new(0x200));
-        c.write(Addr::new(0x148), 1); // node 0x140
-        c.write(Addr::new(0x208), 2); // node 0x200 already hinted
-        let hint = c.hint();
-        assert_eq!(hint, vec![Addr::new(0x200), Addr::new(0x140)]);
+        let mut img = WordImage::new();
+        let mut p = Program::new(proteus_types::ThreadId::new(0));
+        durable_transaction(&mut img, &mut p, |m| {
+            m.hint_node(Addr::new(0x200));
+            m.write(Addr::new(0x148), 1); // node 0x140
+            m.write(Addr::new(0x208), 2); // node 0x200, already hinted
+            m.hint_node(Addr::new(0x150)); // node 0x140, already written
+            m.write(Addr::new(0x3f8), 3); // node 0x3c0
+        });
+        let nodes = [0x200, 0x140, 0x3c0];
+        let grains: Vec<Addr> =
+            nodes.iter().flat_map(|&n| [Addr::new(n), Addr::new(n + 32)]).collect();
+        assert_eq!(p.ops[0], Op::TxBegin { undo_hint: grains });
+        assert_eq!(p.ops.len(), 5, "tx_begin, three writes, tx_end");
+        assert_eq!(p.ops[4], Op::TxEnd);
+        p.validate().unwrap();
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! scheme-independent [`Program`] per thread (the `#SimOps`), mirroring
 //! the paper's methodology: per-thread data structures behind locks, a
 //! random operation stream from a seeded generator, and conservative
-//! per-transaction undo hints computed by a dry run of each operation.
+//! per-transaction undo hints. Each operation runs once: its undo hint
+//! is read off the run that emits it (see [`crate::mem`]).
 
 use crate::avl::AvlTree;
 use crate::btree::BTree;
 use crate::hashmap::HashMapStruct;
 use crate::largetx::BigNodeList;
-use crate::mem::{CollectMem, DirectMem, EmitMem, Mem, NodeAlloc};
+use crate::mem::{durable_transaction, DirectMem, EmitMem, Mem, NodeAlloc};
 use crate::queue::Queue;
 use crate::rbtree::RbTree;
 use crate::stringswap::StringArray;
@@ -32,6 +33,16 @@ const DATA_BASE: u64 = 0x1000_0000;
 /// so this uniform cost exists in every scheme and is what keeps logging
 /// overhead a *fraction* of execution time rather than a multiple.
 pub(crate) const APP_OVERHEAD_CYCLES: u32 = 600;
+
+/// Appends `cycles` of serial application work to `program`, as
+/// `Compute` ops of at most 200 cycles each.
+pub(crate) fn emit_app_work(program: &mut Program, mut cycles: u32) {
+    while cycles > 0 {
+        let chunk = cycles.min(200) as u8;
+        program.compute(chunk);
+        cycles -= chunk as u32;
+    }
+}
 
 /// The data arena `[start, end)` owned by thread `t`. Threads touch only
 /// their own arena (the paper's share-nothing locking discipline), so
@@ -184,7 +195,10 @@ pub struct GeneratedWorkload {
     pub name: String,
     /// One program per thread.
     pub programs: Vec<Program>,
-    /// Memory contents after initialisation (fast-forward).
+    /// Memory contents after initialisation (the fast-forwarded
+    /// `#InitOps`), before any program op: the image the machine starts
+    /// from, the software schemes log pre-transaction values from and
+    /// the crash oracle folds commit groups onto.
     pub initial_image: WordImage,
     /// The global lock schedule, for contended workloads only
     /// (`None` for every single-owner workload — the discriminant the
@@ -560,13 +574,12 @@ fn build_thread_structures(
 
 /// Emits one operation group into `program`, mutating `image`.
 ///
-/// A group is the unit of durability: a combined conservative undo
-/// hint is collected by dry-running every op, then all ops execute
-/// inside a single `TxBegin`/`TxEnd` bracket behind the structures'
-/// locks. Groups whose ops are all read-only skip the dry run and the
-/// transaction entirely (reads need no undo coverage) but still pay
-/// the application preamble and locking. A single mutating op emits
-/// byte-identically to the historical per-op path.
+/// A group is the unit of durability: its ops run once, in a single
+/// [`durable_transaction`] behind the structures' locks, and the
+/// transaction's conservative undo hint is read off that run. Groups
+/// whose ops are all read-only emit without a transaction (reads need
+/// no undo coverage) but still pay the application preamble and
+/// locking.
 pub fn emit_op_group(
     image: &mut WordImage,
     program: &mut Program,
@@ -578,26 +591,9 @@ pub fn emit_op_group(
     if ops.is_empty() {
         return;
     }
-    let durable = ops.iter().any(|op| !op.is_readonly());
-    let hint_nodes = if durable {
-        let mut c = CollectMem::new(image);
-        let mut scratch_alloc = alloc.clone();
-        for &op in ops {
-            run_op(&mut c, &mut scratch_alloc, structures, op);
-        }
-        c.hint()
-    } else {
-        Vec::new()
-    };
-
     // Application preamble: parse each operation from the input stream.
     for _ in ops {
-        let mut remaining = APP_OVERHEAD_CYCLES;
-        while remaining > 0 {
-            let chunk = remaining.min(200) as u8;
-            program.compute(chunk);
-            remaining -= chunk as u32;
-        }
+        emit_app_work(program, APP_OVERHEAD_CYCLES);
     }
 
     // Take each touched structure's lock once, in first-use order.
@@ -613,19 +609,15 @@ pub fn emit_op_group(
         program.write(lock, 1);
     }
 
-    if durable {
-        // Cover both 32-byte grains of each 64-byte node.
-        let hint: Vec<Addr> = hint_nodes.iter().flat_map(|n| [*n, n.offset(32)]).collect();
-        program.tx_begin(hint);
-    }
-    {
-        let mut e = EmitMem::new(image, program);
+    let mut body = |mem: &mut EmitMem<'_>| {
         for &op in ops {
-            run_op(&mut e, alloc, structures, op);
+            run_op(mem, alloc, structures, op);
         }
-    }
-    if durable {
-        program.tx_end();
+    };
+    if ops.iter().all(OpSpec::is_readonly) {
+        body(&mut EmitMem::new(image, program));
+    } else {
+        durable_transaction(image, program, body);
     }
     for &lock in locks.iter().rev() {
         program.write(lock, 0);
@@ -641,37 +633,46 @@ pub fn emit_op_group(
 pub fn generate(bench: Benchmark, params: &WorkloadParams) -> GeneratedWorkload {
     assert!(params.threads > 0, "need at least one thread");
     let mut image = WordImage::new();
-    let mut programs = Vec::with_capacity(params.threads);
 
-    for t in 0..params.threads {
-        let mut alloc = thread_alloc(t);
-        let mut rng = Xoshiro256::seed_from_u64(params.seed ^ (t as u64).wrapping_mul(0x9E37));
+    // Every thread's structures, fast-forwarded through initialisation.
+    // Threads touch only their own arenas, so initialising them all
+    // before any emits leaves every op as it was, and the image taken
+    // in between is the post-initialisation state.
+    let mut threads: Vec<_> = (0..params.threads)
+        .map(|t| {
+            let mut alloc = thread_alloc(t);
+            let mut rng = Xoshiro256::seed_from_u64(params.seed ^ (t as u64).wrapping_mul(0x9E37));
+            let ts = build_thread_structures(bench, params, &mut image, &mut alloc);
+            for _ in 0..params.init_ops {
+                let op =
+                    pick_op(bench, ts.per_thread, ts.key_range, ts.items, ts.big_nodes, &mut rng);
+                run_op(&mut DirectMem::new(&mut image), &mut alloc, &ts.structures, op);
+            }
+            (ts, alloc, rng)
+        })
+        .collect();
+    let initial_image = image.clone();
 
-        let ts = build_thread_structures(bench, params, &mut image, &mut alloc);
-
-        // Fast-forwarded initialisation.
-        for _ in 0..params.init_ops {
-            let op = pick_op(bench, ts.per_thread, ts.key_range, ts.items, ts.big_nodes, &mut rng);
-            let mut m = DirectMem::new(&mut image);
-            run_op(&mut m, &mut alloc, &ts.structures, op);
-        }
-
-        let lock_base = lock_base_for(t);
-
-        // Simulated operations: dry-run for the hint, then emit.
-        let mut program = Program::new(ThreadId::new(t as u32));
-        for _ in 0..params.sim_ops {
-            let op = pick_op(bench, ts.per_thread, ts.key_range, ts.items, ts.big_nodes, &mut rng);
-            emit_op_group(&mut image, &mut program, &mut alloc, &ts.structures, &[op], lock_base);
-        }
-        program.validate().expect("generated program must validate");
-        programs.push(program);
-    }
+    // Simulated operations, each its own durable transaction.
+    let programs = threads
+        .iter_mut()
+        .enumerate()
+        .map(|(t, (ts, alloc, rng))| {
+            let lock_base = lock_base_for(t);
+            let mut program = Program::new(ThreadId::new(t as u32));
+            for _ in 0..params.sim_ops {
+                let op = pick_op(bench, ts.per_thread, ts.key_range, ts.items, ts.big_nodes, rng);
+                emit_op_group(&mut image, &mut program, alloc, &ts.structures, &[op], lock_base);
+            }
+            program.validate().expect("generated program must validate");
+            program
+        })
+        .collect();
 
     GeneratedWorkload {
         name: format!("{}x{}", bench.abbrev(), params.threads),
         programs,
-        initial_image: image,
+        initial_image,
         sharing: None,
     }
 }

@@ -36,11 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let initial = image.clone();
 
     // A program of 20 durable put transactions: `durable_transaction`
-    // dry-runs each put to compute its undo hint, then emits it.
+    // emits each put once and reads its undo hint off that emission.
     let mut program = Program::new(ThreadId::new(0));
     for k in 0..20u64 {
-        durable_transaction(&mut image, &mut program, &mut alloc, |mut mem, alloc| {
-            kv.insert(&mut mem, alloc, k, 7000 + k);
+        durable_transaction(&mut image, &mut program, |mem| {
+            kv.insert(mem, &mut alloc, k, 7000 + k);
         });
     }
 

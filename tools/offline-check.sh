@@ -181,6 +181,9 @@ do_fmt() {
 do_lint() {
     # Scheme dispatch must stay confined to the registry (DESIGN.md §7).
     run tools/lint-scheme-dispatch.sh
+    # Every doc comment must render: no broken, ambiguous or private
+    # intra-doc link, so a deleted item cannot leave a dangling one.
+    run env RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps -q
 }
 
 case "$MODE" in
